@@ -6,7 +6,10 @@ This package is the one public compile surface of the toolchain:
   function-grain fingerprints, unit artifacts, the last link) and
   rebuilds programs at the price of what actually changed;
 * :class:`BuildGraph` — per-function fingerprints and dirty sets;
-* :class:`BuildResult` — one build's program + provenance metadata.
+* :class:`BuildResult` — one build's program + provenance metadata;
+* :class:`BuildStore` — an in-memory unit store and frontend memo that
+  sessions share through their ``cache=`` argument, so a process that
+  builds many programs compiles each source and each unit once.
 
 The legacy ``repro.toolchain`` entry points remain as thin shims that
 delegate here; new code should use this package directly::
@@ -22,6 +25,7 @@ keys), :mod:`repro.build.units` (position-independent per-function
 assembly), :mod:`repro.build.link` (unit-splicing linker),
 :mod:`repro.build.graph` (dirty-set computation + pool fan-out),
 :mod:`repro.build.source_index` (the textual mini-frontend),
+:mod:`repro.build.store` (the in-memory store),
 :mod:`repro.build.session` (the service facade).  See docs/BUILD.md.
 """
 
@@ -40,12 +44,15 @@ from repro.build.link import (
     splice_unit,
 )
 from repro.build.session import BuildResult, BuildSession
+from repro.build.store import BuildStore, FrontendProducts
 from repro.build.units import UnitArtifact, compile_unit
 
 __all__ = [
     "BuildGraph",
     "BuildResult",
     "BuildSession",
+    "BuildStore",
+    "FrontendProducts",
     "LinkState",
     "ModuleUnits",
     "UNIT_SCHEMA",

@@ -83,6 +83,7 @@ def unit_verifies(artifact: UnitArtifact, arch: str, module: str) -> bool:
 def compile_module_units(mir: ir.MirModule, checked: CheckedUnit, arch: str,
                          cache=None, pool=None, parallel_threshold: int = 4,
                          verify_units: bool = True,
+                         graph: Optional[BuildGraph] = None,
                          ) -> Tuple[ModuleUnits, BuildGraph, Dict[str, int]]:
     """Compile one module's function units, cache-first.
 
@@ -93,8 +94,11 @@ def compile_module_units(mir: ir.MirModule, checked: CheckedUnit, arch: str,
     artifacts are ever published.  ``verify_units`` additionally runs
     the binary verifier over every pool-returned artifact and before
     every cache publish (the untrusted-toolchain trust boundary).
+    ``graph`` is the module's already-computed :class:`BuildGraph`, if
+    the caller has one.
     """
-    graph = BuildGraph.of(mir, checked, arch)
+    if graph is None:
+        graph = BuildGraph.of(mir, checked, arch)
     units: Dict[str, UnitArtifact] = {}
     misses: List[ir.MirFunction] = []
     for func in mir.functions:

@@ -35,6 +35,7 @@ from repro.build.source_index import (
     index_source,
     stub_source,
 )
+from repro.build.store import BuildStore, FrontendProducts
 from repro.build.units import UnitArtifact, compile_unit
 from repro.linker.static_linker import LinkedProgram, link as static_link
 from repro.obs import OBS
@@ -80,7 +81,9 @@ class BuildSession:
 
     Parameters mirror the legacy ``compile_and_link`` knobs; ``cache``
     is a :class:`repro.infra.cache.ArtifactCache` shared across
-    sessions (function-grain unit entries), ``pool`` an optional
+    sessions (function-grain unit entries) or an in-memory
+    :class:`repro.build.store.BuildStore`, which also memoizes the
+    frontend across sessions; ``pool`` an optional
     :class:`repro.infra.pool.WorkerPool` dirty unit compiles fan out
     across once at least ``parallel_threshold`` of them miss.
     """
@@ -219,30 +222,28 @@ class BuildSession:
         self._order = order
         return self._link.program
 
-    def _frontend(self, text: str, name: str):
-        from repro.mir.lowering import lower_unit
-        from repro.toolchain import frontend
-        with OBS.tracer.span("build.frontend", module=name):
-            checked = frontend(text, name=name, prelude=self.prelude)
-        with OBS.tracer.span("build.lower", module=name):
-            mir = lower_unit(checked)
-        if self.devirtualize:
-            from repro.analysis.dataflow import devirtualize_module
-            devirtualize_module(mir)
-        return checked, mir
+    def _frontend(self, text: str, name: str) -> FrontendProducts:
+        """The module's frontend products: memoized when the session's
+        cache is a :class:`BuildStore`, computed afresh otherwise."""
+        if isinstance(self.cache, BuildStore):
+            return self.cache.frontend(text, name, self.prelude)
+        return FrontendProducts(text, name, self.prelude)
 
     def _full_rebuild(self, name: str, text: str,
                       stats: Dict[str, int]) -> None:
-        checked, mir = self._frontend(text, name)
+        products = self._frontend(text, name)
+        checked = products.checked
+        mir = products.lowered(self.devirtualize)
         with OBS.tracer.span("build.units", module=name):
             units, graph, ustats = compile_module_units(
                 mir, checked, self.arch, cache=self.cache, pool=self.pool,
                 parallel_threshold=self.parallel_threshold,
-                verify_units=self.verify_units)
+                verify_units=self.verify_units,
+                graph=products.graph(self.arch, self.devirtualize))
         for key, value in ustats.items():
             stats[key] = stats.get(key, 0) + value
         self._modules[name] = _ModuleState(
-            source=text, spans=index_source(text), graph=graph, units=units)
+            source=text, spans=products.spans, graph=graph, units=units)
 
     def _mini_rebuild(self, state: _ModuleState, name: str, text: str,
                       ) -> Optional[List[Tuple[str, UnitArtifact]]]:
@@ -280,7 +281,9 @@ class BuildSession:
                                  dirty=len(unresolved)):
                 stub = stub_source(new_spans, set(unresolved))
                 try:
-                    checked, mir = self._frontend(stub, name)
+                    products = self._frontend(stub, name)
+                    checked = products.checked
+                    mir = products.lowered()
                 except Exception:
                     return None  # stub didn't compile: rebuild fully
             if set(checked.functions) != set(unresolved):
@@ -334,19 +337,22 @@ class BuildSession:
         raws = []
         stats = {"objects": 0, "object_hits": 0}
         digest = prelude_digest(self.prelude)
+        # module objects live only on disk: a store lends its backing
+        cache = (self.cache.backing if isinstance(self.cache, BuildStore)
+                 else self.cache)
         for name, text in sources.items():
             raw = None
             key = None
-            if self.cache is not None:
-                key = self.cache.object_key(name, self.arch, text,
-                                            prelude=digest)
-                raw = self.cache.get_object(key, self.arch)
+            if cache is not None:
+                key = cache.object_key(name, self.arch, text,
+                                       prelude=digest)
+                raw = cache.get_object(key, self.arch)
             if raw is None:
                 raw = compile_object(text, name=name, arch=self.arch,
                                      prelude=self.prelude,
                                      devirtualize=self.devirtualize)
-                if self.cache is not None:
-                    self.cache.put_object(key, raw)
+                if cache is not None:
+                    cache.put_object(key, raw)
             else:
                 stats["object_hits"] += 1
             stats["objects"] += 1

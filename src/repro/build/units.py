@@ -47,10 +47,15 @@ from repro.isa.assembler import (
     Label,
     LabelRef,
     Mark,
-    _next_instr_length,
 )
 from repro.isa.encoding import encode
-from repro.isa.instructions import Instruction, Op, OperandKind, SPECS
+from repro.isa.instructions import (
+    Instruction,
+    Op,
+    OperandKind,
+    SPECS,
+    instruction_length,
+)
 from repro.mir import ir
 from repro.mir.codegen import FunctionCodegen
 from repro.tinyc.types import FuncSig
@@ -102,6 +107,9 @@ class UnitArtifact:
         return len(self.code)
 
 
+#: encoded length of every opcode, so assembly never recomputes one
+_LENGTHS = {op: instruction_length(op) for op in SPECS}
+
 _WIDTHS = {OperandKind.REG: 1, OperandKind.IMM8: 1, OperandKind.IMM32: 4,
            OperandKind.REL32: 4, OperandKind.IMM64: 8}
 
@@ -128,37 +136,53 @@ def assemble_unit(items: Sequence[Item], module_name: str,
     if items and isinstance(items[0], Align):
         artifact.lead_align = items[0].n
 
-    # Pass 1: layout at base 0 (identical arithmetic to the monolithic
-    # assembler at any lead_align-congruent address).
+    # Pass 1: every item's size, each instruction's length taken once.
+    # A backward sweep first hands each AlignEnd the length of the
+    # instruction it pads for; the forward sweep then lays the unit out
+    # at base 0 (identical arithmetic to the monolithic assembler at any
+    # lead_align-congruent address).
+    lengths: List[int] = [0] * len(items)
+    next_len = None
+    for index in range(len(items) - 1, -1, -1):
+        item = items[index]
+        if isinstance(item, AsmInstr):
+            next_len = lengths[index] = _LENGTHS[item.op]
+        elif isinstance(item, AlignEnd):
+            if next_len is None:
+                raise AssemblerError(
+                    "AlignEnd directive not followed by an instruction")
+            lengths[index] = next_len
+            next_len = None
+        elif not isinstance(item, (Label, Mark)):
+            next_len = None
     offsets: List[int] = []
+    sizes: List[int] = []
     labels = artifact.labels
     offset = 0
     for index, item in enumerate(items):
-        if isinstance(item, Align):
-            offsets.append(offset)
-            offset += (-offset) % item.n
-        elif isinstance(item, AlignEnd):
-            next_len = _next_instr_length(items, index)
-            offsets.append(offset)
-            offset += (-(offset + next_len)) % item.n
+        if isinstance(item, AsmInstr):
+            size = lengths[index]
         elif isinstance(item, Label):
             if item.name in labels:
                 raise AssemblerError(f"duplicate label {item.name!r}")
             labels[item.name] = offset
-            offsets.append(offset)
+            size = 0
         elif isinstance(item, Mark):
-            offsets.append(offset)
-        elif isinstance(item, AsmInstr):
-            offsets.append(offset)
-            offset += item.length
+            size = 0
+        elif isinstance(item, Align):
+            size = (-offset) % item.n
+        elif isinstance(item, AlignEnd):
+            size = (-(offset + lengths[index])) % item.n
         elif isinstance(item, Data):
-            offsets.append(offset)
-            offset += len(item.payload)
+            size = len(item.payload)
         elif isinstance(item, DataWord):
-            offsets.append(offset)
-            offset += 8
+            size = 8
         else:
             raise AssemblerError(f"unknown assembly item {item!r}")
+        offsets.append(offset)
+        sizes.append(size)
+        if size:    # labels and the item after them share one int
+            offset += size
 
     # Pass 2: emit bytes; local REL32 refs resolve now, everything else
     # becomes a relocation hole.
@@ -166,19 +190,15 @@ def assemble_unit(items: Sequence[Item], module_name: str,
     relocs = artifact.relocs
     for index, item in enumerate(items):
         off = offsets[index]
-        if isinstance(item, Align):
-            out += NOP * ((-off) % item.n)
-        elif isinstance(item, AlignEnd):
-            pad = (-(off + _next_instr_length(items, index))) % item.n
-            out += NOP * pad
-        elif isinstance(item, Label):
-            pass
+        if isinstance(item, AsmInstr):
+            artifact.instr_offsets.append(off)
+            out += _encode_unit_instr(item, off, off + sizes[index],
+                                      labels, relocs,
+                                      artifact.bary_slots, ref_of)
+        elif isinstance(item, (Align, AlignEnd)):
+            out += NOP * sizes[index]
         elif isinstance(item, Mark):
             artifact.marks.append((item.kind, item.info, off))
-        elif isinstance(item, AsmInstr):
-            artifact.instr_offsets.append(off)
-            out += _encode_unit_instr(item, off, labels, relocs,
-                                      artifact.bary_slots, ref_of)
         elif isinstance(item, Data):
             out += item.payload
         elif isinstance(item, DataWord):
@@ -191,10 +211,11 @@ def assemble_unit(items: Sequence[Item], module_name: str,
     return artifact
 
 
-def _encode_unit_instr(item: AsmInstr, off: int, labels: Dict[str, int],
-                       relocs: List[Reloc],
+def _encode_unit_instr(item: AsmInstr, off: int, end: int,
+                       labels: Dict[str, int], relocs: List[Reloc],
                        bary_slots: List[Tuple[int, int]],
                        ref_of) -> bytes:
+    """Encode one instruction at ``off`` (``end`` = just past it)."""
     spec = SPECS[item.op]
     resolved: List[int] = []
     field_offset = 1  # skip the opcode byte
@@ -204,10 +225,10 @@ def _encode_unit_instr(item: AsmInstr, off: int, labels: Dict[str, int],
             if kind is OperandKind.REL32:
                 target = labels.get(operand.name)
                 if target is not None:
-                    resolved.append(target - (off + item.length))
+                    resolved.append(target - end)
                 else:
                     relocs.append((off + field_offset, "rel32",
-                                   ref_of(operand.name), off + item.length))
+                                   ref_of(operand.name), end))
                     resolved.append(0)
             elif kind is OperandKind.IMM64:
                 relocs.append((off + field_offset, "abs64",

@@ -26,6 +26,7 @@ Execution drivers:
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
@@ -239,6 +240,22 @@ class _BlockableCpuTask(CpuTask):
             self.alive = False
 
 
+def _weak_syscall(runtime: "Runtime") -> Callable[[CPU], None]:
+    """A CPU's syscall handler, holding its runtime weakly.
+
+    A bound ``runtime.syscall`` would make runtime -> CPU -> runtime a
+    reference cycle, so a dropped runtime's address space would stay
+    resident until the cyclic GC happened to run; a process that runs
+    many programs back to back would hold several at once.
+    """
+    ref = weakref.ref(runtime)
+
+    def syscall(cpu: CPU) -> None:
+        ref().syscall(cpu)
+
+    return syscall
+
+
 class Runtime:
     """Loads and executes one linked program."""
 
@@ -322,7 +339,8 @@ class Runtime:
     # -- thread management ---------------------------------------------------------
 
     def new_cpu(self, entry: int, args: Optional[List[int]] = None) -> CPU:
-        cpu = CPU(self.memory, self.tables, syscall_handler=self.syscall,
+        cpu = CPU(self.memory, self.tables,
+                  syscall_handler=_weak_syscall(self),
                   icache=self.icache, thread_id=len(self.cpus),
                   dispatch_cache=self.dispatch_cache)
         cpu.rip = entry

@@ -66,17 +66,20 @@ class Memory:
         """Map ``[address, address + size)`` (page-rounded) with protections."""
         if address % PAGE_SIZE:
             raise MemoryFault(address, "map", "address not page aligned")
-        first = address >> PAGE_SHIFT
-        last = (address + size + PAGE_SIZE - 1) >> PAGE_SHIFT
-        for page in range(first, last):
-            if page not in self._pages:
-                self._pages[page] = bytearray(PAGE_SIZE)
-            if readable:
-                self._readable.add(page)
-            if writable:
-                self._writable.add(page)
-            if executable:
-                self._executable.add(page)
+        # bulk updates: a runtime maps thousands of stack and heap pages
+        # at load, one Python-level step each would dominate the load.
+        # One list, so the page dict and the protection sets share each
+        # page number's int object.
+        pages = list(range(address >> PAGE_SHIFT,
+                           (address + size + PAGE_SIZE - 1) >> PAGE_SHIFT))
+        self._pages.update((page, bytearray(PAGE_SIZE)) for page in pages
+                           if page not in self._pages)
+        if readable:
+            self._readable.update(pages)
+        if writable:
+            self._writable.update(pages)
+        if executable:
+            self._executable.update(pages)
 
     def protect(self, address: int, size: int, *, readable: bool = True,
                 writable: bool = False, executable: bool = False) -> None:

@@ -9,18 +9,24 @@ through the full configuration matrix:
 * **cold build vs single-edit incremental rebuild** (the PR 8
   splice re-link path, compared by artifact digest),
 
-with every build passing the PR 9 binary verifier (``verify_units``)
-and the PR 4 lint plane. Any divergence in output / exit code /
-cycles / instructions / tx_checks / violations between two cells, or
-against the generated program's AST-evaluator oracle, is reported as
-a structured :class:`Finding`; generated findings can be shrunk with
-:mod:`repro.workloads.minimize`.
+and the MIR lint plane. Every cell, the incremental check and the
+lint pass build against one :class:`repro.build.store.BuildStore` the
+harness owns for its lifetime, so each distinct source passes the
+frontend once and each distinct function unit is compiled once — and,
+because the store is a shared cache, passes the binary verifier
+(``verify_units``) once, before it is published. Any divergence in
+output / exit code / cycles / instructions / tx_checks / violations
+between two cells, or against the generated program's AST-evaluator
+oracle, is reported as a structured :class:`Finding`; generated
+findings can be shrunk with :mod:`repro.workloads.minimize`.
 
 Set-level runs (:func:`run_set`) are no-cherry-picking by
 construction: the report carries one :class:`ProgramReport` per
 member — pass or fail — in deterministic member order, fanned out
-over a :class:`repro.infra.pool.WorkerPool` with compile artifacts
-memoized in a shared :class:`repro.infra.cache.ArtifactCache`. The
+over a :class:`repro.infra.pool.WorkerPool` (one harness per worker
+job; a serial run shares one harness across all members), with compile
+artifacts optionally persisted in a disk
+:class:`repro.infra.cache.ArtifactCache` behind the store. The
 findings file is JSONL via :class:`repro.infra.results.ResultStore`
 (timestamps off: same seed ⇒ byte-identical bytes).
 """
@@ -33,6 +39,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.build.session import BuildSession
+from repro.build.store import BuildStore
 from repro.infra.pool import Job, WorkerPool
 from repro.infra.results import ResultStore
 from repro.workloads.generate import (GenConfig, GenProgram, OracleResult,
@@ -210,10 +217,12 @@ class DifferentialHarness:
 
     def __init__(self, config: Optional[CorpusConfig] = None):
         self.config = config or CorpusConfig()
-        self._cache = None
+        backing = None
         if self.config.cache_dir:
             from repro.infra.cache import open_cache
-            self._cache = open_cache(self.config.cache_dir)
+            backing = open_cache(self.config.cache_dir)
+        #: every build of every member goes through this one store
+        self.store = BuildStore(backing)
 
     # -- member resolution -------------------------------------------
 
@@ -284,7 +293,7 @@ class DifferentialHarness:
                 cell = f"{arch}/{'devirt' if devirt else 'base'}"
                 session = BuildSession(
                     arch=arch, devirtualize=devirt,
-                    cache=self._cache, verify_units=True)
+                    cache=self.store, verify_units=True)
                 try:
                     built = session.build(sources)
                 except Exception as exc:  # noqa: BLE001
@@ -381,7 +390,12 @@ class DifferentialHarness:
         runtime = Runtime(program)
         cpu = runtime.main_cpu()
         cpu.step = cpu.step_reference
-        return runtime.run(max_steps=self.config.max_steps)
+        try:
+            return runtime.run(max_steps=self.config.max_steps)
+        finally:
+            # the bound method is a CPU -> CPU cycle: drop it so the
+            # address space goes with the runtime, not with the next GC
+            del cpu.step
 
     def _check_incremental(self, member: str, arch: str, source: str,
                            prog: Optional[GenProgram], cold_result,
@@ -395,7 +409,7 @@ class DifferentialHarness:
             variant_source = prog.edit_variant().source
         seed = report.seed
         session = BuildSession(arch=arch, devirtualize=False,
-                               cache=self._cache, verify_units=True)
+                               cache=self.store, verify_units=True)
         try:
             session.build({member: variant_source})
             incr = session.build({member: source})
@@ -417,12 +431,10 @@ class DifferentialHarness:
     def _check_lints(self, member: str, source: str,
                      report: ProgramReport) -> None:
         from repro.analysis.dataflow.lints import run_lints
-        from repro.mir.lowering import lower_unit
-        from repro.toolchain import frontend
 
         try:
             lint_report = run_lints(
-                lower_unit(frontend(source, name=member)))
+                self.store.frontend(source, member).lowered())
         except Exception as exc:  # noqa: BLE001
             report.findings.append(Finding(
                 member, "harness_error", "lint",
@@ -468,9 +480,9 @@ def run_set(set_name: str, jobs: int = 1,
     reports: List[ProgramReport] = []
     cfg = config or CorpusConfig()
     if jobs <= 1:
+        harness = DifferentialHarness(cfg)
         for member in members:
-            reports.append(DifferentialHarness(cfg).run_member(
-                member, quick=spec.quick))
+            reports.append(harness.run_member(member, quick=spec.quick))
     else:
         pool = WorkerPool(workers=jobs, timeout=job_timeout)
         job_list = [Job(fn=_member_job,

@@ -311,10 +311,11 @@ def predicate_for(finding, config=None) -> Predicate:
         DifferentialHarness
 
     category = finding.category
-    cfg = config or CorpusConfig()
+    # one harness for every candidate: unchanged functions and simlibc
+    # hit its build store instead of recompiling
+    harness = DifferentialHarness(config or CorpusConfig())
 
     def predicate(program: g.GenProgram) -> bool:
-        harness = DifferentialHarness(cfg)
         report = harness.run_program(program)
         return any(f.category == category for f in report.findings)
 

@@ -88,6 +88,39 @@ class TestAlignment:
         assert len(out.code) == 1
 
 
+class TestUnitAssembly:
+    """``assemble_unit`` lays out at base 0 exactly as ``assemble``."""
+
+    ITEMS = [Align(4), Label("f"), AsmInstr(Op.HLT, ()), Align(4),
+             AlignEnd(4), Mark("site", 0),
+             AsmInstr(Op.CALL, (LabelRef("f"),)), Mark("retsite", None),
+             Label("g"), AsmInstr(Op.NOP, ()), AlignEnd(4), Label("h"),
+             AsmInstr(Op.JMP, (LabelRef("g"),))]
+
+    def _unit(self, items):
+        from repro.build.units import UnitArtifact, assemble_unit
+        return assemble_unit(items, "m", {}, UnitArtifact(fn="f",
+                                                          fingerprint=""))
+
+    def test_matches_monolithic_layout(self):
+        unit = self._unit(self.ITEMS)
+        whole = assemble(self.ITEMS, base=0)
+        assert unit.code == whole.code
+        assert unit.labels == whole.labels
+        assert [off for _, _, off in unit.marks] == \
+            [addr for _, _, addr in whole.marks]
+        assert unit.instr_offsets == whole.instr_addresses
+
+    @pytest.mark.parametrize("items", [
+        [AlignEnd(4), Label("x")],
+        [AlignEnd(4), Label("x"), Data(b"x"), AsmInstr(Op.NOP, ())],
+        [AlignEnd(4), AlignEnd(4), AsmInstr(Op.NOP, ())],
+    ])
+    def test_align_end_without_instruction_rejected(self, items):
+        with pytest.raises(AssemblerError):
+            self._unit(items)
+
+
 class TestBarySlots:
     def test_slot_offsets_recorded(self):
         items = [AsmInstr(Op.NOP, ()),

@@ -9,11 +9,14 @@ import dataclasses
 
 import pytest
 
+from repro import obs
+from repro.build import BuildSession
+from repro.workloads import corpus
 from repro.workloads.corpus import CorpusConfig, DifferentialHarness, \
-    Finding, ProgramReport, SetReport, load_set_report, render_report, \
-    run_set, write_set_report
+    Finding, ProgramReport, SetReport, artifact_digest, load_set_report, \
+    render_report, run_set, write_set_report
 from repro.workloads.generate import GenConfig, generate
-from repro.workloads.spec import BenchmarkSet, register_set
+from repro.workloads.spec import BenchmarkSet, benchmark_set, register_set
 from repro.workloads.spec import _SETS
 
 
@@ -157,6 +160,63 @@ class TestSetRuns:
         text = render_report(report)
         assert "gen1000" in text and "gen1001" in text
         assert "passed: 2" in text
+
+
+class TestSharedStore:
+    """One harness, one build store, many members: the store may only
+    remove work — never change an image, a report or what is verified."""
+
+    MEMBERS = benchmark_set("gen-smoke").members[:3]
+
+    @pytest.fixture(scope="class")
+    def shared_run(self):
+        """Three gen-smoke members in sequence through one harness,
+        recording each cell build's digest."""
+        cells = {}
+
+        class Recording(BuildSession):
+            def build(self, sources):
+                result = super().build(sources)
+                if result.kind == "cold":
+                    (name, text), = sources.items()
+                    cells[(name, text, self.arch, self.devirtualize)] = \
+                        artifact_digest(result.program)
+                return result
+
+        harness = DifferentialHarness(QUICK_CFG)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(corpus, "BuildSession", Recording)
+            with obs.scoped() as state:
+                reports = [harness.run_member(member, quick=True)
+                           for member in self.MEMBERS]
+                counters = state.metrics.snapshot().counters
+        return reports, cells, counters
+
+    def test_every_cell_matches_a_fresh_uncached_build(self, shared_run):
+        reports, cells, _ = shared_run
+        assert all(r.ok for r in reports)
+        # the four matrix cells of each member, plus the cold build of
+        # each arch's incremental-check edit variant
+        assert len(cells) == len(self.MEMBERS) * 6
+        for (name, text, arch, devirt), digest in cells.items():
+            fresh = BuildSession(arch=arch, devirtualize=devirt,
+                                 cache=None).build({name: text})
+            assert artifact_digest(fresh.program) == digest, \
+                (name, arch, devirt)
+
+    def test_second_member_reports_as_on_a_fresh_harness(self,
+                                                         shared_run):
+        reports, _, _ = shared_run
+        fresh = DifferentialHarness(QUICK_CFG).run_member(
+            self.MEMBERS[1], quick=True)
+        assert reports[1].to_dict() == fresh.to_dict()
+
+    def test_each_compiled_unit_is_verified_once(self, shared_run):
+        _, _, counters = shared_run
+        compiled = counters["build.unit_compiled"]
+        assert compiled > 0
+        assert counters["binverify.accepted"] == compiled
+        assert "binverify.rejected" not in counters
 
 
 class TestStepBudget:
