@@ -22,11 +22,15 @@ Runnable three ways:
   a single-workload speedup sanity check (no 1.5x gate, CI boxes are
   noisy),
 - ``bench_vm_dispatch.py --conformance`` — conformance only, exits
-  non-zero on the first divergence.
+  non-zero on any divergence.  After the quick subset it diffs all
+  twelve workloads a second time with every block compiled on its
+  first execution, so the hot-block compiler is held to the reference
+  on real programs too.
 """
 
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 if __package__ in (None, ""):  # script invocation (CI smoke job)
@@ -40,6 +44,8 @@ import pytest
 from benchmarks.conftest import selected_benchmarks, write_result
 from repro.experiments import compiled
 from repro.runtime.runtime import Runtime
+from repro.vm import dispatch
+from repro.workloads.spec import BENCHMARKS
 
 #: Workloads for the script-mode --quick smoke: one call-heavy (many
 #: fused check sequences), one loop-heavy, one floating-point.
@@ -78,6 +84,35 @@ def check_conformance(name: str):
             observables(fast), observables(ref))
         if a != b]
     return fast, ref, mismatches
+
+
+@contextmanager
+def compile_every_block():
+    """Compile each block on its first execution instead of its
+    ``HOT_BLOCK_EXECUTIONS``-th."""
+    saved = dispatch.HOT_BLOCK_EXECUTIONS
+    dispatch.HOT_BLOCK_EXECUTIONS = 1
+    try:
+        yield
+    finally:
+        dispatch.HOT_BLOCK_EXECUTIONS = saved
+
+
+def report_conformance(names, label="") -> bool:
+    """Diff each workload against the reference; print one line per
+    workload and return whether all of them agree."""
+    ok = True
+    for name in names:
+        fast, ref, mismatches = check_conformance(name)
+        if mismatches:
+            ok = False
+            print(f"FAIL {name}{label}: diverged on {mismatches}")
+            print(f"  dispatch : {observables(fast)}")
+            print(f"  reference: {observables(ref)}")
+        else:
+            print(f"ok   {name}{label}: {fast.instructions} instrs, "
+                  f"cycles/tx_checks identical")
+    return ok
 
 
 def speedup_row(name: str):
@@ -150,21 +185,12 @@ def _main(argv):
 
     names = QUICK if (args.quick or args.conformance) else \
         selected_benchmarks()
-    failed = False
-    for name in names:
-        fast, ref, mismatches = check_conformance(name)
-        if mismatches:
-            failed = True
-            print(f"FAIL {name}: diverged on {mismatches}")
-            print(f"  dispatch : {observables(fast)}")
-            print(f"  reference: {observables(ref)}")
-        else:
-            print(f"ok   {name}: {fast.instructions} instrs, "
-                  f"cycles/tx_checks identical")
-    if failed:
+    if not report_conformance(names):
         return 1
     if args.conformance:
-        return 0
+        with compile_every_block():
+            ok = report_conformance(BENCHMARKS, " (every block compiled)")
+        return 0 if ok else 1
 
     rows = [speedup_row(name) for name in
             (names[:1] if args.quick else names)]

@@ -103,6 +103,8 @@ METRIC_CATALOG = (
     ("counter", "vm.cycles", "cycles consumed"),
     ("counter", "vm.dispatch.blocks_built", "decoded basic blocks built"),
     ("counter", "vm.dispatch.fused_sites", "check sequences fused"),
+    ("counter", "vm.dispatch.blocks_compiled",
+     "hot blocks compiled to one function"),
     ("counter", "runtime.violations.<action>",
      "violations by policy action"),
     ("counter", "linker.dlopens", "successful dlopens"),

@@ -397,13 +397,14 @@ class CPU:
 
         Single-threaded execution takes the basic-block fast path:
         straight-line runs execute as one loop over cached closures
-        without re-entering ``step()``, and recognized check
-        transactions execute as one fused macro-op (see
-        :mod:`repro.vm.dispatch`).  If an instance-level ``step`` hook
-        is installed (a :class:`~repro.vm.trace.BranchTracer`, or
-        ``cpu.step = cpu.step_reference``), execution stays strictly
-        per-instruction through the hook.  Either way the architectural
-        observables are identical.
+        without re-entering ``step()``, hot blocks as one compiled
+        function each, and recognized check transactions as one fused
+        macro-op (see :mod:`repro.vm.dispatch`).  If an instance-level
+        ``step`` hook is installed (a
+        :class:`~repro.vm.trace.BranchTracer`, or ``cpu.step =
+        cpu.step_reference``), execution stays strictly per-instruction
+        through the hook.  Either way the architectural observables are
+        identical.
 
         Observability is recorded once per call (a ``vm.run`` span and
         instruction/cycle counters), never per step — the dispatch loop
@@ -411,8 +412,10 @@ class CPU:
         """
         cycles_before = self.cycles
         instructions_before = self.instructions
-        blocks_before = self.dispatch_cache.blocks_built
-        fused_before = self.dispatch_cache.fused_sites
+        cache = self.dispatch_cache
+        blocks_before = cache.blocks_built
+        fused_before = cache.fused_sites
+        compiled_before = cache.blocks_compiled
         self._decode_fault = False
         limit_error = False
         span = OBS.tracer.begin("vm.run", thread=self.thread_id)
@@ -426,7 +429,7 @@ class CPU:
                     if max_steps and executed >= max_steps:
                         limit_error = True
                         raise VMError(f"exceeded step limit of {max_steps}")
-            blocks = self.dispatch_cache.blocks
+            blocks = cache.blocks
             # With a step limit, finish the last stretch per-instruction
             # so the limit check lands on the exact instruction the
             # reference interpreter would raise at.
@@ -446,7 +449,9 @@ class CPU:
                 block = blocks.get(rip)
                 if block is None:
                     block = build_block(self, rip)
-                self.rip = block.execute(self)
+                fn = block.compiled
+                self.rip = (block.execute(self) if fn is None
+                            else fn(self))
         except ProgramExit as program_exit:
             return program_exit.code
         finally:
@@ -464,12 +469,16 @@ class CPU:
                 metrics.counter("vm.instructions").inc(executed)
                 metrics.counter("vm.cycles").inc(
                     self.cycles - cycles_before)
-                built = self.dispatch_cache.blocks_built - blocks_before
-                fused = self.dispatch_cache.fused_sites - fused_before
+                built = cache.blocks_built - blocks_before
+                fused = cache.fused_sites - fused_before
+                compiled = cache.blocks_compiled - compiled_before
                 if built:
                     metrics.counter("vm.dispatch.blocks_built").inc(built)
                 if fused:
                     metrics.counter("vm.dispatch.fused_sites").inc(fused)
+                if compiled:
+                    metrics.counter("vm.dispatch.blocks_compiled").inc(
+                        compiled)
             span.end(instructions=executed,
                      cycles=self.cycles - cycles_before)
 

@@ -3,7 +3,7 @@
 The seed interpreter executed every instruction by walking one long
 ``if/elif`` chain in :meth:`~repro.vm.cpu.CPU.step`; by PR 5 that chain
 had become the dominant wall-clock cost of every Fig. 5/6 benchmark and
-fault campaign.  This module replaces it with three layers, none of
+fault campaign.  This module replaces it with four layers, none of
 which changes a single architectural observable (``cycles``,
 ``instructions``, ``tx_checks``, traces and ``RunResult`` payloads are
 bit-identical to the reference interpreter, which survives as
@@ -37,6 +37,12 @@ bit-identical to the reference interpreter, which survives as
    then re-reads the Bary entry.  ``tx_checks`` still counts one check
    per attempt, exactly like the unfused ``TLOAD_RI``.
 
+4. **Hot-block compilation** (:func:`compile_block`).  A block that has
+   run :data:`HOT_BLOCK_EXECUTIONS` times becomes one generated Python
+   function with its loads and stores probing the memory's permission
+   maps inline; the function is stored on the block, so it is dropped
+   with it.
+
 Code-region invalidation mirrors the icache: the dynamic linker's
 unload/rollback paths call :meth:`DispatchCache.invalidate_range`
 whenever they drop decoded icache entries, so re-mapping or
@@ -51,6 +57,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import InvalidInstruction, MemoryFault, VMError
 from repro.isa.instructions import BLOCK_TERMINATORS, Op
+from repro.vm.memory import PAGE_SHIFT, PAGE_SIZE
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _MASK32 = 0xFFFFFFFF
@@ -100,6 +107,7 @@ def _divide(dividend: int, divisor: int, mod: bool) -> int:
 # returned value, and the block executor repairs ``rip`` on faults.
 
 _Closure = Callable[[object], int]
+_Entry = Tuple[int, Tuple[int, ...], int, int]
 _Compiler = Callable[[Tuple[int, ...], int, int, int], _Closure]
 
 COMPILERS: List[Optional[_Compiler]] = [None] * 0x100
@@ -821,20 +829,27 @@ MAX_BLOCK_ADVANCE = MAX_BLOCK_INSTRS + _FUSED_MATCH_INSTRS
 class Block:
     """One decoded straight-line run: closures plus fault bookkeeping."""
 
-    __slots__ = ("entry", "limit", "linear", "addrs", "term", "term_addr",
-                 "term_sets_rip", "exit_rip")
+    __slots__ = ("entry", "limit", "linear", "addrs", "decoded", "term",
+                 "term_addr", "term_decoded", "term_sets_rip", "exit_rip",
+                 "runs", "compiled")
 
-    def __init__(self, entry: int, limit: int, linear, addrs,
-                 term: Optional[_Closure], term_addr: int,
+    def __init__(self, entry: int, limit: int, linear, addrs, decoded,
+                 term: Optional[_Closure], term_addr: int, term_decoded,
                  term_sets_rip: bool, exit_rip: int) -> None:
         self.entry = entry
         self.limit = limit          # one past the last decoded byte
         self.linear = linear        # tuple of closures
         self.addrs = addrs          # per-closure instruction addresses
+        self.decoded = decoded      # per-closure decoded icache entries
         self.term = term
         self.term_addr = term_addr
+        # decoded entry of a plain-instruction terminator; None for a
+        # fused check or a replay, which only exist as closures
+        self.term_decoded = term_decoded
         self.term_sets_rip = term_sets_rip
         self.exit_rip = exit_rip    # fall-through when term is None
+        self.runs = 0               # interpreted executions so far
+        self.compiled: Optional[_Closure] = None
 
     def execute(self, cpu) -> int:
         """Run the whole block; return the rip to continue at.
@@ -842,8 +857,19 @@ class Block:
         On any exception the architectural state is exactly what the
         per-instruction interpreter would leave: counters include the
         faulting instruction (each closure charges itself first) and
-        ``rip`` names it.
+        ``rip`` names it.  The :data:`HOT_BLOCK_EXECUTIONS`-th call
+        compiles the block (see :func:`compile_block`) and runs the
+        compiled function instead; ``CPU.run`` calls that directly from
+        then on.
         """
+        compiled = self.compiled
+        if compiled is None:
+            self.runs += 1
+            if self.runs >= HOT_BLOCK_EXECUTIONS:
+                compiled = self.compiled = compile_block(self)
+                cpu.dispatch_cache.blocks_compiled += 1
+        if compiled is not None:
+            return compiled(cpu)
         index = 0
         try:
             for fn in self.linear:
@@ -872,19 +898,21 @@ class DispatchCache:
 
     Two layers keyed by code address: ``closures`` (one compiled
     closure per instruction, used by ``step()``) and ``blocks`` (one
-    :class:`Block` per basic-block entry, used by ``run()``).  Both sit
-    on top of the raw decoded icache and follow its invalidation: the
-    dynamic linker calls :meth:`invalidate_range` wherever it drops
-    icache entries.
+    :class:`Block` per basic-block entry, used by ``run()``; a hot
+    block carries its compiled function).  Both sit on top of the raw
+    decoded icache and follow its invalidation: the dynamic linker
+    calls :meth:`invalidate_range` wherever it drops icache entries.
     """
 
-    __slots__ = ("closures", "blocks", "blocks_built", "fused_sites")
+    __slots__ = ("closures", "blocks", "blocks_built", "fused_sites",
+                 "blocks_compiled")
 
     def __init__(self) -> None:
         self.closures: Dict[int, _Closure] = {}
         self.blocks: Dict[int, Block] = {}
         self.blocks_built = 0
         self.fused_sites = 0
+        self.blocks_compiled = 0
 
     def invalidate_range(self, lo: int, hi: int) -> None:
         """Drop every closure and block touching ``[lo, hi)``."""
@@ -939,8 +967,10 @@ def build_block(cpu, entry_rip: int) -> Block:
     icache = cpu.icache
     linear: List[_Closure] = []
     addrs: List[int] = []
+    decoded: List[_Entry] = []
     term: Optional[_Closure] = None
     term_addr = 0
+    term_decoded: Optional[_Entry] = None
     term_sets_rip = False
     addr = entry_rip
     for _ in range(MAX_BLOCK_INSTRS):
@@ -971,6 +1001,7 @@ def build_block(cpu, entry_rip: int) -> Block:
                 ccache[addr] = closure
             term = closure
             term_addr = addr
+            term_decoded = entry
             term_sets_rip = op == _SYSCALL_INT
             addr += entry[2]
             break
@@ -980,9 +1011,422 @@ def build_block(cpu, entry_rip: int) -> Block:
             ccache[addr] = closure
         linear.append(closure)
         addrs.append(addr)
+        decoded.append(entry)
         addr += entry[2]
     block = Block(entry_rip, addr, tuple(linear), tuple(addrs),
-                  term, term_addr, term_sets_rip, exit_rip=addr)
+                  tuple(decoded), term, term_addr, term_decoded,
+                  term_sets_rip, exit_rip=addr)
     cache.blocks[entry_rip] = block
     cache.blocks_built += 1
     return block
+
+
+# ---------------------------------------------------------------------------
+# Hot-block compilation
+# ---------------------------------------------------------------------------
+#
+# A block that has run HOT_BLOCK_EXECUTIONS times is turned into the
+# source of one Python function and compiled.  The function does the
+# work of the block's closures with no call per instruction: registers
+# are ``regs[<const>]``, operands and addresses are literals, cycles and
+# instructions are charged once at the end, and loads and stores probe
+# the memory's permission maps (page number -> bytearray) themselves.
+# A miss, a page straddle or any fault takes the ``Memory`` method, so
+# every access is still permission-checked and faults carry the same
+# address.  Before each instruction the function sets ``k``; on any
+# exception the handler charges ``FC[k]`` cycles and ``FI[k]``
+# instructions and sets ``rip = AD[k]``, exactly the per-instruction
+# state.  Opcodes without a template, fused checks, SYSCALL, HLT and
+# replays run their existing closures, which charge themselves.
+
+#: Interpreted executions after which a block is compiled.  Compiling
+#: costs about a millisecond, so a block must run often enough to earn
+#: it back; compiling on first execution is slower overall.
+HOT_BLOCK_EXECUTIONS = 32
+
+_M = "0xFFFFFFFFFFFFFFFF"
+_PAGE_MASK = PAGE_SIZE - 1
+_STRUCTS = {2: struct.Struct("<H"), 4: struct.Struct("<I"), 8: _PACK_Q}
+#: helpers every compiled block may reference, bound as free variables
+_HELPERS = {"DIV": _divide}
+for _width, _struct in _STRUCTS.items():
+    _HELPERS[f"U{_width}"] = _struct.unpack_from
+    _HELPERS[f"P{_width}"] = _struct.pack_into
+
+
+def _plus(expr: str, imm: int) -> str:
+    if not imm:
+        return expr
+    return f"{expr} + {imm}" if imm > 0 else f"{expr} - {-imm}"
+
+
+def _signed_src(name: str) -> str:
+    return f"({name} - {_TWO64:#x} if {name} & {_SIGN64:#x} else {name})"
+
+
+def _read(target: str, width: int) -> List[str]:
+    """Load ``width`` bytes at local ``a`` into ``target``: inline when
+    the page is readable and the access stays on it, else through the
+    ``Memory`` method (straddles, misses and faults)."""
+    slow = f"mem.read_u{8 * width}(a)"
+    if width == 1:
+        return [f"p = R.get(a >> {PAGE_SHIFT})",
+                f"{target} = p[a & {_PAGE_MASK}] if p is not None "
+                f"else {slow}"]
+    return [f"o = a & {_PAGE_MASK}",
+            f"if o <= {PAGE_SIZE - width} and "
+            f"(p := R.get(a >> {PAGE_SHIFT})) is not None:",
+            f"    {target} = U{width}(p, o)[0]",
+            "else:",
+            f"    {target} = {slow}"]
+
+
+def _write(value: str, width: int) -> List[str]:
+    """Store the low ``width`` bytes of ``value`` at local ``a``, with
+    the same split as :func:`_read`."""
+    mask = f"{(1 << 8 * width) - 1:#x}"
+    if width == 1:
+        fast = [f"p = W.get(a >> {PAGE_SHIFT})",
+                "if p is not None:",
+                f"    p[a & {_PAGE_MASK}] = {value} & {mask}"]
+    else:
+        fast = [f"o = a & {_PAGE_MASK}",
+                f"if o <= {PAGE_SIZE - width} and "
+                f"(p := W.get(a >> {PAGE_SHIFT})) is not None:",
+                f"    P{width}(p, o, {value} & {mask})"]
+    return fast + ["else:", f"    mem.write_u{8 * width}(a, {value})"]
+
+
+def _push(value: str) -> List[str]:
+    return ([f"a = (regs[{_RSP}] - 8) & {_M}"] + _write(value, 8)
+            + [f"regs[{_RSP}] = a"])
+
+
+def _pop(target: str) -> List[str]:
+    return ([f"a = regs[{_RSP}]"] + _read(target, 8)
+            + [f"regs[{_RSP}] = (a + 8) & {_M}"])
+
+
+#: opcode -> ``template(ops, nxt) -> source lines`` for linear ops
+_TEMPLATES: Dict[int, Callable[[Tuple[int, ...], int], List[str]]] = {}
+#: opcode -> ``template(ops, nxt) -> (source lines, next-rip expression)``
+#: for plain-branch terminators; the expression is evaluated after the
+#: counters are charged, so it must not fault
+_TERM_TEMPLATES: Dict[int, Callable[[Tuple[int, ...], int],
+                                    Tuple[List[str], str]]] = {}
+
+
+def _template(*opcodes: Op, table=_TEMPLATES):
+    def register(fn):
+        for opcode in opcodes:
+            table[int(opcode)] = fn
+        return fn
+    return register
+
+
+def _alu(opcode: Op, expr: str) -> None:
+    """``expr`` over ``{x}`` (the destination register) and ``{y}``
+    (the source register, or the immediate as a literal that the
+    Python compiler folds into the constants around it); ``{sx}`` and
+    ``{sy}`` are the operands read as signed."""
+    rr = opcode.name.endswith("_RR")
+
+    def template(ops, nxt):
+        d, s = ops
+        y = f"regs[{s}]" if rr else f"({s})"
+        lines = []
+        if "{sx}" in expr:
+            lines.append(f"x = regs[{d}]")
+        if "{sy}" in expr:
+            lines.append(f"y = {y}")
+        return lines + [f"regs[{d}] = " + expr.format(
+            x=f"regs[{d}]", y=y, sx=_signed_src("x"), sy=_signed_src("y"))]
+    _TEMPLATES[int(opcode)] = template
+
+
+for _opcode, _expr in (
+        (Op.ADD_RR, f"({{x}} + {{y}}) & {_M}"),
+        (Op.SUB_RR, f"({{x}} - {{y}}) & {_M}"),
+        (Op.IMUL_RR, f"({{sx}} * {{sy}}) & {_M}"),
+        (Op.AND_RR, "{x} & {y}"), (Op.OR_RR, "{x} | {y}"),
+        (Op.XOR_RR, "{x} ^ {y}"),
+        (Op.SHL_RR, f"({{x}} << ({{y}} & 63)) & {_M}"),
+        (Op.SHR_RR, "{x} >> ({y} & 63)"),
+        (Op.SAR_RR, f"({{sx}} >> ({{y}} & 63)) & {_M}"),
+        (Op.IDIV_RR, "DIV({x}, {y}, False)"),
+        (Op.IMOD_RR, "DIV({x}, {y}, True)"),
+        (Op.OR_RI, f"({{x}} | {{y}}) & {_M}"),
+        (Op.XOR_RI, f"({{x}} ^ {{y}}) & {_M}"),
+        (Op.SHL_RI, f"({{x}} << ({{y}} & 63)) & {_M}"),
+        (Op.SHR_RI, "{x} >> ({y} & 63)"),
+        (Op.SAR_RI, f"({{sx}} >> ({{y}} & 63)) & {_M}")):
+    _alu(_opcode, _expr)
+
+
+@_template(Op.ADD_RI)
+def _t_add_ri(ops, nxt):
+    d, imm = ops
+    return [f"regs[{d}] = ({_plus(f'regs[{d}]', imm)}) & {_M}"]
+
+
+@_template(Op.SUB_RI)
+def _t_sub_ri(ops, nxt):
+    return _t_add_ri((ops[0], -ops[1]), nxt)
+
+
+@_template(Op.AND_RI)
+def _t_and_ri(ops, nxt):
+    d, imm = ops
+    return [f"regs[{d}] &= {imm & _MASK64:#x}"]
+
+
+@_template(Op.NOP)
+def _t_nop(ops, nxt):
+    return []
+
+
+@_template(Op.MOV_RR)
+def _t_mov_rr(ops, nxt):
+    return [f"regs[{ops[0]}] = regs[{ops[1]}]"]
+
+
+@_template(Op.MOV_RI)
+def _t_mov_ri(ops, nxt):
+    return [f"regs[{ops[0]}] = {ops[1] & _MASK64:#x}"]
+
+
+@_template(Op.MOVZX32)
+def _t_movzx32(ops, nxt):
+    return [f"regs[{ops[0]}] &= {_MASK32:#x}"]
+
+
+@_template(Op.LEA)
+def _t_lea(ops, nxt):
+    d, b, disp = ops
+    return [f"regs[{d}] = ({_plus(f'regs[{b}]', disp)}) & {_M}"]
+
+
+@_template(Op.NEG)
+def _t_neg(ops, nxt):
+    return [f"regs[{ops[0]}] = (-regs[{ops[0]}]) & {_M}"]
+
+
+@_template(Op.NOT)
+def _t_not(ops, nxt):
+    return [f"regs[{ops[0]}] ^= {_M}"]
+
+
+@_template(Op.CMP_RR)
+def _t_cmp_rr(ops, nxt):
+    a, b = ops
+    return [f"x = regs[{a}]", f"y = regs[{b}]",
+            "cpu.zf = x == y",
+            f"cpu.lt = {_signed_src('x')} < {_signed_src('y')}",
+            "cpu.ltu = x < y"]
+
+
+@_template(Op.CMP_RI)
+def _t_cmp_ri(ops, nxt):
+    right = ops[1] & _MASK64
+    return [f"x = regs[{ops[0]}]",
+            f"cpu.zf = x == {right:#x}",
+            f"cpu.lt = {_signed_src('x')} < {_signed(right)}",
+            f"cpu.ltu = x < {right:#x}"]
+
+
+@_template(Op.TEST_RR)
+def _t_test_rr(ops, nxt):
+    return [f"cpu.zf = (regs[{ops[0]}] & regs[{ops[1]}]) == 0"]
+
+
+@_template(Op.TEST_RI)
+def _t_test_ri(ops, nxt):
+    return [f"cpu.zf = (regs[{ops[0]}] & {ops[1] & _MASK64:#x}) == 0"]
+
+
+@_template(Op.CMPW_RR)
+def _t_cmpw_rr(ops, nxt):
+    return [f"cpu.zf = (regs[{ops[0]}] & 0xFFFF) == "
+            f"(regs[{ops[1]}] & 0xFFFF)"]
+
+
+@_template(Op.TESTB1)
+def _t_testb1(ops, nxt):
+    return [f"cpu.zf = (regs[{ops[0]}] & 1) == 0"]
+
+
+def _load_template(opcode: Op, width: int) -> None:
+    def template(ops, nxt):
+        d, b, disp = ops
+        return ([f"a = ({_plus(f'regs[{b}]', disp)}) & {_M}"]
+                + _read(f"regs[{d}]", width))
+    _TEMPLATES[int(opcode)] = template
+
+
+def _store_template(opcode: Op, width: int) -> None:
+    def template(ops, nxt):
+        b, disp, s = ops
+        return ([f"a = ({_plus(f'regs[{b}]', disp)}) & {_M}"]
+                + _write(f"regs[{s}]", width))
+    _TEMPLATES[int(opcode)] = template
+
+
+for _width, _load, _store in ((1, Op.LOAD8, Op.STORE8),
+                              (2, Op.LOAD16, Op.STORE16),
+                              (4, Op.LOAD32, Op.STORE32),
+                              (8, Op.LOAD64, Op.STORE64)):
+    _load_template(_load, _width)
+    _store_template(_store, _width)
+
+
+@_template(Op.PUSH)
+def _t_push(ops, nxt):
+    return _push(f"regs[{ops[0]}]")
+
+
+@_template(Op.POP)
+def _t_pop(ops, nxt):
+    return _pop(f"regs[{ops[0]}]")
+
+
+@_template(Op.TLOAD_RI)
+def _t_tload_ri(ops, nxt):
+    return ["cpu.tx_checks += 1",
+            f"regs[{ops[0]}] = cpu.tables.read_bary({ops[1]})"]
+
+
+@_template(Op.TLOAD_RR)
+def _t_tload_rr(ops, nxt):
+    return [f"regs[{ops[0]}] = cpu.tables.read_tary(regs[{ops[1]}])"]
+
+
+@_template(Op.JMP, table=_TERM_TEMPLATES)
+def _t_jmp(ops, nxt):
+    return [], f"{nxt + ops[0]:#x}"
+
+
+@_template(Op.JMP_R, table=_TERM_TEMPLATES)
+def _t_jmp_r(ops, nxt):
+    return [], f"regs[{ops[0]}]"
+
+
+@_template(Op.CALL, table=_TERM_TEMPLATES)
+def _t_call(ops, nxt):
+    return _push(f"{nxt:#x}"), f"{nxt + ops[0]:#x}"
+
+
+@_template(Op.CALL_R, table=_TERM_TEMPLATES)
+def _t_call_r(ops, nxt):
+    # the target register is read after rsp moves, as in the closure
+    return _push(f"{nxt:#x}"), f"regs[{ops[0]}]"
+
+
+@_template(Op.RET, table=_TERM_TEMPLATES)
+def _t_ret(ops, nxt):
+    return _pop("nx"), "nx"
+
+
+def _jcc(opcode: Op, taken_if: str) -> None:
+    def template(ops, nxt):
+        return [], f"{nxt + ops[0]:#x} if {taken_if} else {nxt:#x}"
+    _TERM_TEMPLATES[int(opcode)] = template
+
+
+for _opcode, _cond in ((Op.JE, "cpu.zf"), (Op.JNE, "not cpu.zf"),
+                       (Op.JL, "cpu.lt"), (Op.JLE, "cpu.lt or cpu.zf"),
+                       (Op.JG, "not (cpu.lt or cpu.zf)"),
+                       (Op.JGE, "not cpu.lt"), (Op.JB, "cpu.ltu"),
+                       (Op.JAE, "not cpu.ltu")):
+    _jcc(_opcode, _cond)
+
+
+def _block_source(block: Block) -> Tuple[str, Dict[str, object]]:
+    """Python source of ``block``'s compiled function, plus the values
+    of the free names it uses other than the shared helpers."""
+    body: List[str] = []
+    names: Dict[str, object] = {}
+    charged_cycles = charged_instrs = 0
+    fault_cycles: List[int] = []
+    fault_instrs: List[int] = []
+    fault_addrs: List[int] = []
+
+    def emit(address: int, lines: List[str], cost: Optional[int]) -> None:
+        """Append one instruction; ``cost`` is None for a closure call,
+        which charges its own counters (even when it faults)."""
+        nonlocal charged_cycles, charged_instrs
+        if fault_addrs:
+            body.append(f"k = {len(fault_addrs)}")
+        body.extend(lines)
+        if cost is not None:
+            charged_cycles += cost
+            charged_instrs += 1
+        fault_cycles.append(charged_cycles)
+        fault_instrs.append(charged_instrs)
+        fault_addrs.append(address)
+
+    for index, (address, closure, entry) in enumerate(
+            zip(block.addrs, block.linear, block.decoded)):
+        op, ops, length, cost = entry
+        template = _TEMPLATES.get(op)
+        if template is None:
+            names[f"F{index}"] = closure
+            emit(address, [f"F{index}(cpu)"], None)
+        else:
+            emit(address, template(ops, address + length), cost)
+
+    entry = block.term_decoded
+    term_template = (_TERM_TEMPLATES.get(entry[0])
+                     if entry is not None else None)
+    if term_template is not None:
+        op, ops, length, cost = entry
+        lines, result = term_template(ops, block.term_addr + length)
+        emit(block.term_addr, lines, cost)
+        tail = [f"return {result}"]
+    elif block.term is None:
+        tail = [f"return {block.exit_rip:#x}"]
+    else:
+        names["TERM"] = block.term
+        tail = (["return TERM(cpu)"] if block.term_sets_rip else
+                ["try:", "    return TERM(cpu)", "except BaseException:",
+                 f"    cpu.rip = {block.term_addr:#x}", "    raise"])
+
+    text = "\n".join(body + tail)
+    head = []
+    if "regs[" in text:
+        head.append("regs = cpu.regs")
+    if "mem." in text:
+        head.append("mem = cpu.memory")
+    if "R.get" in text:
+        head.append("R = mem._readable")
+    if "W.get" in text:
+        head.append("W = mem._writable")
+    if body:
+        names["FC"] = tuple(fault_cycles)
+        names["FI"] = tuple(fault_instrs)
+        names["AD"] = tuple(fault_addrs)
+    params = ", ".join(list(_HELPERS) + list(names))
+    lines = [f"def factory({params}):", "    def block(cpu):"]
+    lines += ["        " + line for line in head]
+    if body:
+        lines += ["        k = 0", "        try:"]
+        lines += ["            " + line for line in body]
+        lines += ["        except BaseException:",
+                  "            cpu.cycles += FC[k]",
+                  "            cpu.instructions += FI[k]",
+                  "            cpu.rip = AD[k]",
+                  "            raise"]
+    if charged_instrs:
+        lines += [f"        cpu.cycles += {charged_cycles}",
+                  f"        cpu.instructions += {charged_instrs}"]
+    lines += ["        " + line for line in tail]
+    lines.append("    return block")
+    return "\n".join(lines), names
+
+
+def compile_block(block: Block) -> _Closure:
+    """Compile ``block`` into one function ``fn(cpu) -> next_rip`` with
+    the observables of :meth:`Block.execute`."""
+    source, names = _block_source(block)
+    namespace: Dict[str, object] = {}
+    exec(compile(source, f"<block {block.entry:#x}>", "exec"), namespace)
+    return namespace["factory"](*_HELPERS.values(), *names.values())

@@ -23,7 +23,7 @@ flat address space: the only way application code can touch it is via
 from __future__ import annotations
 
 import struct
-from typing import Dict, Set
+from typing import Collection, Dict, Set
 
 from repro.errors import MemoryFault
 
@@ -55,8 +55,12 @@ class Memory:
 
     def __init__(self) -> None:
         self._pages: Dict[int, bytearray] = {}
-        self._readable: Set[int] = set()
-        self._writable: Set[int] = set()
+        # Permission maps: page number -> that page's bytearray, so one
+        # probe both checks the permission and finds the bytes.  The
+        # dispatch plane's compiled blocks probe them directly; ``map``
+        # and ``protect`` keep them in sync with ``_pages``.
+        self._readable: Dict[int, bytearray] = {}
+        self._writable: Dict[int, bytearray] = {}
         self._executable: Set[int] = set()
 
     # -- mapping ----------------------------------------------------------
@@ -68,16 +72,18 @@ class Memory:
             raise MemoryFault(address, "map", "address not page aligned")
         # bulk updates: a runtime maps thousands of stack and heap pages
         # at load, one Python-level step each would dominate the load.
-        # One list, so the page dict and the protection sets share each
+        # One list, so the page dict and the protection maps share each
         # page number's int object.
         pages = list(range(address >> PAGE_SHIFT,
                            (address + size + PAGE_SIZE - 1) >> PAGE_SHIFT))
-        self._pages.update((page, bytearray(PAGE_SIZE)) for page in pages
-                           if page not in self._pages)
+        known = self._pages.get
+        mapped = {page: known(page) or bytearray(PAGE_SIZE)
+                  for page in pages}
+        self._pages.update(mapped)
         if readable:
-            self._readable.update(pages)
+            self._readable.update(mapped)
         if writable:
-            self._writable.update(pages)
+            self._writable.update(mapped)
         if executable:
             self._executable.update(pages)
 
@@ -87,15 +93,19 @@ class Memory:
         first = address >> PAGE_SHIFT
         last = (address + size + PAGE_SIZE - 1) >> PAGE_SHIFT
         for page in range(first, last):
-            if page not in self._pages:
+            data = self._pages.get(page)
+            if data is None:
                 raise MemoryFault(page << PAGE_SHIFT, "protect", "unmapped")
             for flag, group in ((readable, self._readable),
-                                (writable, self._writable),
-                                (executable, self._executable)):
+                                (writable, self._writable)):
                 if flag:
-                    group.add(page)
+                    group[page] = data
                 else:
-                    group.discard(page)
+                    group.pop(page, None)
+            if executable:
+                self._executable.add(page)
+            else:
+                self._executable.discard(page)
 
     def is_mapped(self, address: int) -> bool:
         return (address >> PAGE_SHIFT) in self._pages
@@ -115,50 +125,48 @@ class Memory:
     # accesses.  Fault addresses are identical on both paths.
 
     def read_u8(self, address: int) -> int:
-        page = address >> PAGE_SHIFT
-        if page not in self._readable:
+        data = self._readable.get(address >> PAGE_SHIFT)
+        if data is None:
             raise MemoryFault(address, "read")
-        return self._pages[page][address & (PAGE_SIZE - 1)]
+        return data[address & (PAGE_SIZE - 1)]
 
     def read_u16(self, address: int) -> int:
         """Atomic 16-bit read; faults before observing either byte."""
         offset = address & (PAGE_SIZE - 1)
         page = address >> PAGE_SHIFT
-        if offset <= PAGE_SIZE - 2:
-            if page not in self._readable:
-                raise MemoryFault(address, "read")
-            return _U16.unpack_from(self._pages[page], offset)[0]
-        if page not in self._readable:
+        data = self._readable.get(page)
+        if data is None:
             raise MemoryFault(address, "read")
-        high_page = page + 1
-        if high_page not in self._readable:
+        if offset <= PAGE_SIZE - 2:
+            return _U16.unpack_from(data, offset)[0]
+        high = self._readable.get(page + 1)
+        if high is None:
             raise MemoryFault(address + 1, "read")
-        return (self._pages[page][PAGE_SIZE - 1]
-                | (self._pages[high_page][0] << 8))
+        return data[PAGE_SIZE - 1] | (high[0] << 8)
 
     def read_u64(self, address: int) -> int:
         offset = address & (PAGE_SIZE - 1)
         if offset <= PAGE_SIZE - 8:
-            page = address >> PAGE_SHIFT
-            if page not in self._readable:
+            data = self._readable.get(address >> PAGE_SHIFT)
+            if data is None:
                 raise MemoryFault(address, "read")
-            return _U64.unpack_from(self._pages[page], offset)[0]
+            return _U64.unpack_from(data, offset)[0]
         return int.from_bytes(self._read(address, 8), "little")
 
     def read_u32(self, address: int) -> int:
         offset = address & (PAGE_SIZE - 1)
         if offset <= PAGE_SIZE - 4:
-            page = address >> PAGE_SHIFT
-            if page not in self._readable:
+            data = self._readable.get(address >> PAGE_SHIFT)
+            if data is None:
                 raise MemoryFault(address, "read")
-            return _U32.unpack_from(self._pages[page], offset)[0]
+            return _U32.unpack_from(data, offset)[0]
         return int.from_bytes(self._read(address, 4), "little")
 
     def write_u8(self, address: int, value: int) -> None:
-        page = address >> PAGE_SHIFT
-        if page not in self._writable:
+        data = self._writable.get(address >> PAGE_SHIFT)
+        if data is None:
             raise MemoryFault(address, "write")
-        self._pages[page][address & (PAGE_SIZE - 1)] = value & 0xFF
+        data[address & (PAGE_SIZE - 1)] = value & 0xFF
 
     def write_u16(self, address: int, value: int) -> None:
         """Atomic 16-bit store: both byte addresses are validated
@@ -167,36 +175,35 @@ class Memory:
         one-byte partial store behind."""
         offset = address & (PAGE_SIZE - 1)
         page = address >> PAGE_SHIFT
-        if offset <= PAGE_SIZE - 2:
-            if page not in self._writable:
-                raise MemoryFault(address, "write")
-            _U16.pack_into(self._pages[page], offset, value & 0xFFFF)
-            return
-        if page not in self._writable:
+        data = self._writable.get(page)
+        if data is None:
             raise MemoryFault(address, "write")
-        high_page = page + 1
-        if high_page not in self._writable:
+        if offset <= PAGE_SIZE - 2:
+            _U16.pack_into(data, offset, value & 0xFFFF)
+            return
+        high = self._writable.get(page + 1)
+        if high is None:
             raise MemoryFault(address + 1, "write")
-        self._pages[page][PAGE_SIZE - 1] = value & 0xFF
-        self._pages[high_page][0] = (value >> 8) & 0xFF
+        data[PAGE_SIZE - 1] = value & 0xFF
+        high[0] = (value >> 8) & 0xFF
 
     def write_u32(self, address: int, value: int) -> None:
         offset = address & (PAGE_SIZE - 1)
         if offset <= PAGE_SIZE - 4:
-            page = address >> PAGE_SHIFT
-            if page not in self._writable:
+            data = self._writable.get(address >> PAGE_SHIFT)
+            if data is None:
                 raise MemoryFault(address, "write")
-            _U32.pack_into(self._pages[page], offset, value & 0xFFFFFFFF)
+            _U32.pack_into(data, offset, value & 0xFFFFFFFF)
             return
         self._write(address, (value & 0xFFFFFFFF).to_bytes(4, "little"))
 
     def write_u64(self, address: int, value: int) -> None:
         offset = address & (PAGE_SIZE - 1)
         if offset <= PAGE_SIZE - 8:
-            page = address >> PAGE_SHIFT
-            if page not in self._writable:
+            data = self._writable.get(address >> PAGE_SHIFT)
+            if data is None:
                 raise MemoryFault(address, "write")
-            _U64.pack_into(self._pages[page], offset, value & _MASK64)
+            _U64.pack_into(data, offset, value & _MASK64)
             return
         self._write(address, (value & _MASK64).to_bytes(8, "little"))
 
@@ -224,7 +231,7 @@ class Memory:
     # -- internals ----------------------------------------------------------
 
     def _read(self, address: int, size: int,
-              check: Set[int] | None | str = "default") -> bytes:
+              check: Collection[int] | None | str = "default") -> bytes:
         check_set = self._readable if check == "default" else check
         out = bytearray()
         remaining = size
@@ -243,7 +250,7 @@ class Memory:
         return bytes(out)
 
     def _write(self, address: int, payload: bytes,
-               check: Set[int] | None | str = "default") -> None:
+               check: Collection[int] | None | str = "default") -> None:
         check_set = self._writable if check == "default" else check
         # Page-straddling stores validate every page up front so a
         # protection fault on a later page cannot leave a torn partial
@@ -315,12 +322,12 @@ class TableMemory:
     def read_tary(self, index: int) -> int:
         if not 0 <= index <= self.tary_size - 4:
             raise MemoryFault(index, "tary-read", "outside Tary table")
-        return int.from_bytes(self.tary[index:index + 4], "little")
+        return _U32.unpack_from(self.tary, index)[0]
 
     def read_bary(self, index: int) -> int:
         if not 0 <= index <= len(self.bary) - 4:
             raise MemoryFault(index, "bary-read", "outside Bary table")
-        return int.from_bytes(self.bary[index:index + 4], "little")
+        return _U32.unpack_from(self.bary, index)[0]
 
     # Writes are privileged: only the trusted runtime (TxUpdate) calls
     # them.  Each call is one atomic 4-byte store (the paper's ``movnti``).

@@ -11,6 +11,10 @@ Also hosts the regression tests for the PR 5 interpreter-semantics
 bugfix batch that lives on the same paths: FCMP_RR NaN flags, torn
 16-bit stores at page boundaries, and block/closure-cache invalidation
 when code is re-mapped under a previously executed address.
+
+The conformance, fused-check and torn-store cases run twice: once at
+the default hot-block threshold, and once (the ``...Compiled``
+subclasses) with every block compiled on its first execution.
 """
 
 import struct
@@ -21,6 +25,7 @@ from repro.errors import CfiViolation, MemoryFault, VMError
 from repro.isa.assembler import AsmInstr, Label, LabelRef, assemble
 from repro.isa.instructions import Op
 from repro.isa.registers import Reg
+from repro.vm import dispatch
 from repro.vm.cpu import CPU, ProgramExit
 from repro.vm.dispatch import DispatchCache
 from repro.vm.memory import Memory, PAGE_SIZE, TableMemory
@@ -59,6 +64,12 @@ def make_cpu(code: bytes, tables=None, icache=None, dispatch_cache=None,
     cpu.rip = CODE
     cpu.regs[Reg.RSP] = STACK + PAGE_SIZE - 16
     return cpu
+
+
+@pytest.fixture
+def compile_every_block(monkeypatch):
+    """Compile each block on its first execution, not its 32nd."""
+    monkeypatch.setattr(dispatch, "HOT_BLOCK_EXECUTIONS", 1)
 
 
 def run_both(items, regs=None, max_steps=10_000, data_pages=1):
@@ -263,6 +274,11 @@ class TestDispatchConformance:
         assert fast.status == ref.status
 
 
+@pytest.mark.usefixtures("compile_every_block")
+class TestDispatchConformanceCompiled(TestDispatchConformance):
+    """The same cases with every block compiled."""
+
+
 class TestFcmpNanSemantics:
     """PR 5 bugfix: unordered FCMP must behave like x86 ucomisd
     (ZF=CF=1, SF=OF=0), not like 'greater'."""
@@ -417,6 +433,11 @@ class TestTornStore16:
         assert fast_cpu.regs[Reg.RCX] == 0xBEEF
 
 
+@pytest.mark.usefixtures("compile_every_block")
+class TestTornStore16Compiled(TestTornStore16):
+    """The same cases with every block compiled."""
+
+
 def check_sequence(bary_index=0):
     """The instrumenter's five-instruction check-transaction Try block,
     followed by the Check fallback (HLT)."""
@@ -553,6 +574,180 @@ class TestFusedCheckTransaction:
         fast_cpu, ref_cpu, fast_out, ref_out = run_both(items)
         assert_identical(fast_cpu, ref_cpu, fast_out, ref_out)
         assert fast_cpu.dispatch_cache.fused_sites == 0
+
+
+@pytest.mark.usefixtures("compile_every_block")
+class TestFusedCheckTransactionCompiled(TestFusedCheckTransaction):
+    """The same cases with every block compiled."""
+
+
+class TestHotBlockCompilation:
+    """A hot block runs as one compiled function; every fault still
+    leaves the reference interpreter's state."""
+
+    def _cpu(self, code, *, second_page_writable, handler=None):
+        mem = Memory()
+        mem.map(CODE, PAGE_SIZE, readable=True, executable=True)
+        mem.host_write(CODE, code)
+        mem.map(DATA, PAGE_SIZE, readable=True, writable=True)
+        mem.map(DATA + PAGE_SIZE, PAGE_SIZE, readable=True,
+                writable=second_page_writable)
+        mem.map(STACK, PAGE_SIZE, readable=True, writable=True)
+
+        def exit_handler(cpu):
+            raise ProgramExit(cpu.regs[Reg.RAX] & 0xFF)
+
+        cpu = CPU(mem, TableMemory(), syscall_handler=handler or exit_handler)
+        cpu.rip = CODE
+        cpu.regs[Reg.RSP] = STACK + PAGE_SIZE - 16
+        return cpu
+
+    def _outcome(self, cpu, max_steps=10_000):
+        try:
+            return cpu.run(max_steps=max_steps)
+        except Exception as exc:  # noqa: BLE001 - compared structurally
+            return exc
+
+    def test_block_compiles_at_threshold(self):
+        items = [
+            AsmInstr(Op.MOV_RI, (Reg.RBX, 0)),
+            Label("loop"),
+            AsmInstr(Op.ADD_RI, (Reg.RBX, 1)),
+            AsmInstr(Op.CMP_RI, (Reg.RBX, 2 * dispatch.HOT_BLOCK_EXECUTIONS)),
+            AsmInstr(Op.JNE, (LabelRef("loop"),)),
+            AsmInstr(Op.SYSCALL, ()),
+        ]
+        out = assemble(items, base=CODE)
+        loop = out.labels["loop"]
+        cpu = make_cpu(out.code)
+        cpu.run(max_steps=10_000)
+        cache = cpu.dispatch_cache
+        assert cache.blocks[loop].compiled is not None
+        assert cache.blocks[CODE].compiled is None  # ran once
+        assert cache.blocks_compiled == 1
+        ref = make_cpu(out.code)
+        ref.step = ref.step_reference
+        ref.run(max_steps=10_000)
+        assert cpu.snapshot() == ref.snapshot()
+
+    def test_blocks_compiled_counter(self):
+        from repro import obs
+
+        items = [Label("loop"),
+                 AsmInstr(Op.ADD_RI, (Reg.RAX, 1)),
+                 AsmInstr(Op.JMP, (LabelRef("loop"),))]
+        code = assemble(items, base=CODE).code
+        with obs.scoped(seed=0) as state:
+            with pytest.raises(VMError):
+                make_cpu(code).run(max_steps=1000)
+            counters = state.metrics.snapshot().counters
+        assert counters["vm.dispatch.blocks_compiled"] == 1
+        assert counters["vm.dispatch.blocks_built"] == 1
+
+    def test_protect_after_compile_faults_like_reference(self):
+        """mprotect of a compiled block's store target: the next
+        execution faults with the reference interpreter's state."""
+        rounds = dispatch.HOT_BLOCK_EXECUTIONS + 8
+        items = [
+            AsmInstr(Op.MOV_RI, (Reg.RBX, DATA)),
+            Label("loop"),
+            AsmInstr(Op.ADD_RI, (Reg.RCX, 1)),
+            Label("store"),
+            AsmInstr(Op.STORE64, (Reg.RBX, 8, Reg.RCX)),
+            AsmInstr(Op.ADD_RI, (Reg.RDX, 3)),
+            AsmInstr(Op.SYSCALL, ()),
+            AsmInstr(Op.JMP, (LabelRef("loop"),)),
+        ]
+        out = assemble(items, base=CODE)
+
+        def drop_write_after_rounds(cpu):
+            if cpu.regs[Reg.RCX] == rounds:
+                cpu.memory.protect(DATA, PAGE_SIZE, readable=True,
+                                   writable=False)
+
+        def execute(reference):
+            cpu = self._cpu(out.code, second_page_writable=True,
+                            handler=drop_write_after_rounds)
+            if reference:
+                cpu.step = cpu.step_reference
+            return cpu, self._outcome(cpu)
+
+        fast_cpu, fast_out = execute(False)
+        ref_cpu, ref_out = execute(True)
+        assert fast_cpu.dispatch_cache.blocks[
+            out.labels["loop"]].compiled is not None
+        assert isinstance(ref_out, MemoryFault)
+        assert type(fast_out) is MemoryFault
+        assert fast_out.address == ref_out.address == DATA + 8
+        assert fast_cpu.snapshot() == ref_cpu.snapshot()
+        assert fast_cpu.rip == out.labels["store"]
+        assert fast_cpu.memory.read_u64(DATA + 8) == rounds
+
+    @pytest.mark.parametrize("opcode", [Op.STORE64, Op.LOAD64],
+                             ids=["store64", "load64"])
+    def test_straddle_takes_slow_path(self, compile_every_block, opcode):
+        """An 8-byte access across a page boundary faults at the first
+        byte of the read-only (or unmapped) page and tears nothing."""
+        address = DATA + PAGE_SIZE - 4
+        operands = ((Reg.RBX, 0, Reg.RAX) if opcode == Op.STORE64
+                    else (Reg.RCX, Reg.RBX, 0))
+        items = [AsmInstr(Op.ADD_RI, (Reg.RDX, 1)),
+                 AsmInstr(opcode, operands),
+                 AsmInstr(Op.SYSCALL, ())]
+        code = assemble(items, base=CODE).code
+
+        def execute(reference):
+            cpu = self._cpu(code, second_page_writable=False)
+            if opcode == Op.LOAD64:
+                cpu.memory.protect(DATA + PAGE_SIZE, PAGE_SIZE,
+                                   readable=False)
+            cpu.memory.write_u32(address, 0x55555555)
+            if reference:
+                cpu.step = cpu.step_reference
+            cpu.regs[Reg.RBX] = address
+            cpu.regs[Reg.RAX] = 0x1122334455667788
+            return cpu, self._outcome(cpu)
+
+        fast_cpu, fast_out = execute(False)
+        ref_cpu, ref_out = execute(True)
+        assert fast_cpu.dispatch_cache.blocks[CODE].compiled is not None
+        assert type(fast_out) is type(ref_out) is MemoryFault
+        assert fast_out.address == ref_out.address == DATA + PAGE_SIZE
+        assert fast_cpu.snapshot() == ref_cpu.snapshot()
+        assert fast_cpu.memory.read_u32(address) == 0x55555555
+        assert fast_cpu.regs[Reg.RCX] == 0
+
+    def test_straddle_roundtrip_across_writable_pages(
+            self, compile_every_block):
+        items = [
+            AsmInstr(Op.MOV_RI, (Reg.RBX, DATA + PAGE_SIZE - 3)),
+            AsmInstr(Op.MOV_RI, (Reg.RAX, 0x1122334455667788)),
+            AsmInstr(Op.STORE64, (Reg.RBX, 0, Reg.RAX)),
+            AsmInstr(Op.LOAD64, (Reg.RCX, Reg.RBX, 0)),
+            AsmInstr(Op.STORE32, (Reg.RBX, 1, Reg.RAX)),
+            AsmInstr(Op.LOAD32, (Reg.RDX, Reg.RBX, 1)),
+        ]
+        fast_cpu, ref_cpu, fast_out, ref_out = run_both(items,
+                                                        data_pages=2)
+        assert_identical(fast_cpu, ref_cpu, fast_out, ref_out)
+        assert fast_cpu.dispatch_cache.blocks_compiled == 1
+        assert fast_cpu.regs[Reg.RCX] == 0x1122334455667788
+        assert fast_cpu.regs[Reg.RDX] == 0x55667788
+
+    def test_untemplated_opcode_fault_mid_block(self, compile_every_block):
+        """An opcode without a template runs its closure inside the
+        compiled function; its fault repairs state like any other."""
+        items = [
+            AsmInstr(Op.MOV_RI, (Reg.RAX, 1)),
+            AsmInstr(Op.FADD_RR, (Reg.RAX, Reg.RAX)),
+            AsmInstr(Op.MOV_RI, (Reg.RBX, 0)),
+            AsmInstr(Op.FDIV_RR, (Reg.RAX, Reg.RBX)),
+            AsmInstr(Op.ADD_RI, (Reg.RAX, 1)),
+        ]
+        fast_cpu, ref_cpu, fast_out, ref_out = run_both(items)
+        assert isinstance(ref_out, VMError)
+        assert_identical(fast_cpu, ref_cpu, fast_out, ref_out)
+        assert fast_cpu.dispatch_cache.blocks_compiled == 1
 
 
 class TestBlockCacheInvalidation:

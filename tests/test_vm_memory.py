@@ -115,6 +115,24 @@ class TestTableMemory:
         with pytest.raises(MemoryFault):
             tables.read_tary(-4)
 
+    def test_read_bounds_at_table_end(self):
+        """The last whole word reads; one byte further faults with the
+        index, the access kind and the reason."""
+        tables = TableMemory(tary_size=0x1000, bary_entries=16)
+        tables.tary[0xFFC:0x1000] = b"\x01\x02\x03\x04"
+        assert tables.read_tary(tables.tary_size - 4) == 0x04030201
+        with pytest.raises(MemoryFault) as err:
+            tables.read_tary(tables.tary_size - 3)
+        assert err.value.args == MemoryFault(
+            tables.tary_size - 3, "tary-read", "outside Tary table").args
+        end = len(tables.bary)
+        tables.write_bary(end - 4, 0x0A0B0C0D)
+        assert tables.read_bary(end - 4) == 0x0A0B0C0D
+        with pytest.raises(MemoryFault) as err:
+            tables.read_bary(end - 3)
+        assert err.value.args == MemoryFault(
+            end - 3, "bary-read", "outside Bary table").args
+
     def test_unaligned_id_store_rejected(self):
         tables = TableMemory()
         with pytest.raises(MemoryFault):
