@@ -47,14 +47,15 @@ from repro.isa.assembler import (
     Label,
     LabelRef,
     Mark,
+    item_lengths,
 )
 from repro.isa.encoding import encode
 from repro.isa.instructions import (
+    SPECS,
+    WIDTHS,
     Instruction,
     Op,
     OperandKind,
-    SPECS,
-    instruction_length,
 )
 from repro.mir import ir
 from repro.mir.codegen import FunctionCodegen
@@ -107,13 +108,6 @@ class UnitArtifact:
         return len(self.code)
 
 
-#: encoded length of every opcode, so assembly never recomputes one
-_LENGTHS = {op: instruction_length(op) for op in SPECS}
-
-_WIDTHS = {OperandKind.REG: 1, OperandKind.IMM8: 1, OperandKind.IMM32: 4,
-           OperandKind.REL32: 4, OperandKind.IMM64: 8}
-
-
 def assemble_unit(items: Sequence[Item], module_name: str,
                   sid_contents: Dict[int, bytes],
                   artifact: UnitArtifact) -> UnitArtifact:
@@ -136,25 +130,10 @@ def assemble_unit(items: Sequence[Item], module_name: str,
     if items and isinstance(items[0], Align):
         artifact.lead_align = items[0].n
 
-    # Pass 1: every item's size, each instruction's length taken once.
-    # A backward sweep first hands each AlignEnd the length of the
-    # instruction it pads for; the forward sweep then lays the unit out
-    # at base 0 (identical arithmetic to the monolithic assembler at any
+    # Pass 1: every item's size, each instruction's length taken once
+    # (identical arithmetic to the monolithic assembler at any
     # lead_align-congruent address).
-    lengths: List[int] = [0] * len(items)
-    next_len = None
-    for index in range(len(items) - 1, -1, -1):
-        item = items[index]
-        if isinstance(item, AsmInstr):
-            next_len = lengths[index] = _LENGTHS[item.op]
-        elif isinstance(item, AlignEnd):
-            if next_len is None:
-                raise AssemblerError(
-                    "AlignEnd directive not followed by an instruction")
-            lengths[index] = next_len
-            next_len = None
-        elif not isinstance(item, (Label, Mark)):
-            next_len = None
+    lengths = item_lengths(items)
     offsets: List[int] = []
     sizes: List[int] = []
     labels = artifact.labels
@@ -172,6 +151,9 @@ def assemble_unit(items: Sequence[Item], module_name: str,
         elif isinstance(item, Align):
             size = (-offset) % item.n
         elif isinstance(item, AlignEnd):
+            if lengths[index] is None:
+                raise AssemblerError(
+                    "AlignEnd directive not followed by an instruction")
             size = (-(offset + lengths[index])) % item.n
         elif isinstance(item, Data):
             size = len(item.payload)
@@ -220,7 +202,7 @@ def _encode_unit_instr(item: AsmInstr, off: int, end: int,
     resolved: List[int] = []
     field_offset = 1  # skip the opcode byte
     for kind, operand in zip(spec.operands, item.operands):
-        width = _WIDTHS[kind]
+        width = WIDTHS[kind]
         if isinstance(operand, LabelRef):
             if kind is OperandKind.REL32:
                 target = labels.get(operand.name)

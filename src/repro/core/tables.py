@@ -260,6 +260,11 @@ class TableSnapshot:
     bookkeeping that must stay consistent with them: the version, the
     trusted ECN assignments and the ABA update counter.
 
+    Only the window's *written extent* is copied: the bytes below the
+    :class:`~repro.vm.memory.TableMemory` write high-water mark.  Every
+    byte above the mark is zero, so ``rollback()`` restores the copy
+    and zeroes whatever was written above the old mark since.
+
     ``rollback()`` restores everything byte-for-byte and bumps the
     :class:`~repro.vm.memory.TableMemory` write-generation stamp by
     hand, because the raw restore bypasses ``write_tary``/``write_bary``
@@ -280,10 +285,8 @@ class TableSnapshot:
         site_range = site_range or (0, memory.bary_entries)
         self.bary_range = (bary_index(site_range[0]),
                            bary_index(site_range[1]))
-        self.tary = bytes(memory.tary[self.tary_range[0]:
-                                      self.tary_range[1]])
-        self.bary = bytes(memory.bary[self.bary_range[0]:
-                                      self.bary_range[1]])
+        self.tary = _written(memory.tary, self.tary_range, memory.tary_mark)
+        self.bary = _written(memory.bary, self.bary_range, memory.bary_mark)
         self.version = tables.version
         self.tary_ecns = dict(tables.tary_ecns)
         self.bary_ecns = dict(tables.bary_ecns)
@@ -292,10 +295,28 @@ class TableSnapshot:
     def rollback(self) -> None:
         tables = self.tables
         memory = tables.memory
-        memory.tary[self.tary_range[0]:self.tary_range[1]] = self.tary
-        memory.bary[self.bary_range[0]:self.bary_range[1]] = self.bary
+        _restore(memory.tary, self.tary_range, self.tary, memory.tary_mark)
+        _restore(memory.bary, self.bary_range, self.bary, memory.bary_mark)
         memory.generation += 1
         tables.version = self.version
         tables.tary_ecns = dict(self.tary_ecns)
         tables.bary_ecns = dict(self.bary_ecns)
         tables.updates_since_reset = self.updates_since_reset
+
+
+def _written(table: bytearray, window: tuple, mark: int) -> bytes:
+    """The bytes of ``window`` below the write mark."""
+    lo, hi = window
+    return bytes(table[lo:max(lo, min(hi, mark))])
+
+
+def _restore(table: bytearray, window: tuple, saved: bytes,
+             mark: int) -> None:
+    """Put ``saved`` back at the window start and zero the window's
+    bytes written since, up to the current write mark."""
+    lo, hi = window
+    end = lo + len(saved)
+    table[lo:end] = saved
+    top = min(hi, mark)
+    if top > end:
+        table[end:top] = bytes(top - end)

@@ -16,7 +16,9 @@ from typing import Iterator, List, Tuple
 
 from repro.errors import EncodingError
 from repro.isa.instructions import (
+    LENGTHS,
     SPECS,
+    WIDTHS,
     Instruction,
     Op,
     OperandKind,
@@ -32,12 +34,28 @@ _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def _sign_extend(value: int, bits: int) -> int:
-    mask = (1 << bits) - 1
-    value &= mask
-    if value & (1 << (bits - 1)):
-        value -= 1 << bits
-    return value
+def pack_field(kind: OperandKind, value: int) -> bytes:
+    """Encode one operand field.
+
+    Raises :class:`EncodingError` if ``value`` does not fit the field.
+    """
+    if kind is OperandKind.REG:
+        if not 0 <= value < NUM_REGS:
+            raise EncodingError(f"bad register number {value}")
+        return bytes((value,))
+    if kind is OperandKind.IMM8:
+        if not 0 <= value < 256:
+            raise EncodingError(f"imm8 out of range: {value}")
+        return bytes((value,))
+    if kind is OperandKind.IMM32 or kind is OperandKind.REL32:
+        if not -(1 << 31) <= value < (1 << 32):
+            raise EncodingError(f"imm32 out of range: {value}")
+        return _U32.pack(value & _MASK32)
+    if kind is OperandKind.IMM64:
+        if not -(1 << 63) <= value < (1 << 64):
+            raise EncodingError(f"imm64 out of range: {value}")
+        return _U64.pack(value & _MASK64)
+    raise EncodingError(f"unknown operand kind {kind}")  # pragma: no cover
 
 
 def encode(instr: Instruction) -> bytes:
@@ -45,32 +63,46 @@ def encode(instr: Instruction) -> bytes:
 
     Raises :class:`EncodingError` if an operand does not fit its field.
     """
-    out = bytearray([int(instr.op)])
-    for kind, value in zip(instr.spec.operands, instr.operands):
-        if kind is OperandKind.REG:
-            if not 0 <= value < NUM_REGS:
-                raise EncodingError(f"bad register number {value}")
-            out.append(value)
-        elif kind is OperandKind.IMM8:
-            if not 0 <= value < 256:
-                raise EncodingError(f"imm8 out of range: {value}")
-            out.append(value)
-        elif kind in (OperandKind.IMM32, OperandKind.REL32):
-            if not -(1 << 31) <= value < (1 << 32):
-                raise EncodingError(f"imm32 out of range: {value}")
-            out += _U32.pack(value & _MASK32)
-        elif kind is OperandKind.IMM64:
-            if not -(1 << 63) <= value < (1 << 64):
-                raise EncodingError(f"imm64 out of range: {value}")
-            out += _U64.pack(value & _MASK64)
-        else:  # pragma: no cover - exhaustive over OperandKind
-            raise EncodingError(f"unknown operand kind {kind}")
+    out = bytearray((instr.op,))
+    for kind, value in zip(SPECS[instr.op].operands, instr.operands):
+        if kind is OperandKind.REG and 0 <= value < NUM_REGS:
+            out.append(value)       # the common field, inline
+        else:
+            out += pack_field(kind, value)
     return bytes(out)
 
 
 def encode_all(instrs: List[Instruction]) -> bytes:
     """Encode a sequence of instructions to a contiguous byte string."""
     return b"".join(encode(i) for i in instrs)
+
+
+#: struct format character of each operand kind (immediates signed)
+_FIELD_FORMATS = {
+    OperandKind.REG: "B",
+    OperandKind.IMM8: "B",
+    OperandKind.IMM32: "i",
+    OperandKind.REL32: "i",
+    OperandKind.IMM64: "q",
+}
+
+
+def _decoder(op: Op):
+    """``(op, operand unpacker or None, length, register positions)``."""
+    kinds = SPECS[op].operands
+    unpack = struct.Struct(
+        "<" + "".join(_FIELD_FORMATS[kind] for kind in kinds)
+    ).unpack_from if kinds else None
+    regs = tuple(index for index, kind in enumerate(kinds)
+                 if kind is OperandKind.REG)
+    return op, unpack, LENGTHS[op], regs
+
+
+#: decoder entry per opcode byte; ``None`` for invalid opcodes
+_DECODERS = tuple(_decoder(Op(byte)) if byte in _OPCODE_VALUES else None
+                  for byte in range(256))
+
+_new_instruction = object.__new__
 
 
 def decode(code: bytes, offset: int = 0) -> Tuple[Instruction, int]:
@@ -82,40 +114,37 @@ def decode(code: bytes, offset: int = 0) -> Tuple[Instruction, int]:
     """
     if offset >= len(code):
         raise EncodingError("decode past end of code")
-    opcode = code[offset]
-    if opcode not in _OPCODE_VALUES:
-        raise EncodingError(f"invalid opcode byte {opcode:#04x}")
-    op = Op(opcode)
-    spec = SPECS[op]
-    pos = offset + 1
-    operands = []
-    for kind in spec.operands:
-        if kind is OperandKind.REG:
-            if pos + 1 > len(code):
-                raise EncodingError("truncated instruction")
-            value = code[pos]
-            if value >= NUM_REGS:
-                raise EncodingError(f"bad register byte {value:#04x}")
-            pos += 1
-        elif kind is OperandKind.IMM8:
-            if pos + 1 > len(code):
-                raise EncodingError("truncated instruction")
-            value = code[pos]
-            pos += 1
-        elif kind in (OperandKind.IMM32, OperandKind.REL32):
-            if pos + 4 > len(code):
-                raise EncodingError("truncated instruction")
-            value = _sign_extend(_U32.unpack_from(code, pos)[0], 32)
-            pos += 4
-        elif kind is OperandKind.IMM64:
-            if pos + 8 > len(code):
-                raise EncodingError("truncated instruction")
-            value = _sign_extend(_U64.unpack_from(code, pos)[0], 64)
-            pos += 8
-        else:  # pragma: no cover - exhaustive over OperandKind
-            raise EncodingError(f"unknown operand kind {kind}")
-        operands.append(value)
-    return Instruction(op, tuple(operands)), pos - offset
+    entry = _DECODERS[code[offset]]
+    if entry is None:
+        raise EncodingError(f"invalid opcode byte {code[offset]:#04x}")
+    op, unpack, length, regs = entry
+    if offset + length > len(code):
+        _raise_truncated(code, offset + 1, op)
+    operands = unpack(code, offset + 1) if unpack is not None else ()
+    for index in regs:
+        if operands[index] >= NUM_REGS:
+            raise EncodingError(
+                f"bad register byte {operands[index]:#04x}")
+    # The table already checked what ``Instruction.__post_init__``
+    # would: bypass it.
+    instr = _new_instruction(Instruction)
+    fields = instr.__dict__
+    fields["op"] = op
+    fields["operands"] = operands
+    return instr, length
+
+
+def _raise_truncated(code: bytes, pos: int, op: Op) -> None:
+    """Raise the error for an instruction cut off by the end of ``code``:
+    a bad register byte before the cut wins, as fields decode in order."""
+    for kind in SPECS[op].operands:
+        width = WIDTHS[kind]
+        if pos + width > len(code):
+            break
+        if kind is OperandKind.REG and code[pos] >= NUM_REGS:
+            raise EncodingError(f"bad register byte {code[pos]:#04x}")
+        pos += width
+    raise EncodingError("truncated instruction")
 
 
 def decode_stream(code: bytes, offset: int = 0,

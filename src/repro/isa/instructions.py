@@ -50,7 +50,8 @@ class OperandKind(enum.Enum):
     REL32 = "rel32"  # 4 bytes: signed 32-bit PC-relative displacement
 
 
-_WIDTH = {
+#: encoded byte width of every operand kind
+WIDTHS = {
     OperandKind.REG: 1,
     OperandKind.IMM8: 1,
     OperandKind.IMM32: 4,
@@ -256,12 +257,15 @@ SPECS: dict[Op, OpSpec] = {
 
 def instruction_length(op: Op) -> int:
     """Return the encoded length in bytes of instructions with opcode ``op``."""
-    spec = SPECS[op]
-    return 1 + sum(_WIDTH[kind] for kind in spec.operands)
+    return LENGTHS[op]
 
+
+#: encoded length of every opcode, so the assemblers never recompute one
+LENGTHS = {op: 1 + sum(WIDTHS[kind] for kind in spec.operands)
+           for op, spec in SPECS.items()}
 
 #: Maximum encoded instruction length (used by the decoder and scanner).
-MAX_INSTRUCTION_LENGTH = max(instruction_length(op) for op in SPECS)
+MAX_INSTRUCTION_LENGTH = max(LENGTHS.values())
 
 #: Opcodes that end a decoded basic block in the VM's dispatch plane
 #: (:mod:`repro.vm.dispatch`): every control transfer plus the two

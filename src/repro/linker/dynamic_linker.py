@@ -3,11 +3,16 @@ linking").
 
 Implements the paper's three-step dlopen protocol:
 
-1. **Module preparation** — load the library into unoccupied code/data
-   space with the code writable but *not* executable; resolve its
-   symbols; patch its Bary-index immediates (with freshly assigned
-   global site numbers); then seal the pages read-only + executable
-   (after optional verification).  The W^X invariant holds throughout.
+1. **Module preparation** — *place* the library into unoccupied code
+   and data space and resolve its symbols; *verify* the placed image
+   (before any byte is mapped); *patch* its Bary-index immediates with
+   freshly assigned global site numbers into pages mapped writable but
+   not executable; then *seal* the pages read-only + executable.  The
+   W^X invariant holds throughout.  A library is instrumented and
+   assembled once, on its first dlopen by this linker; every later
+   dlopen re-places that image with :meth:`Assembled.placed`, which
+   patches only its placement-dependent fields.  Verification is never
+   skipped or cached: every placed image is verified.
 2. **New CFG generation** — merge the library's auxiliary information
    into the program's, connect PLT entries "to functions with matching
    names", and regenerate the CFG/ECN assignment.
@@ -23,7 +28,10 @@ exists for.
 
 **Transactional loading.**  Every ``dlopen``/``dlclose`` opens a
 :class:`LoadJournal` first: a snapshot of both ID tables, the linker's
-allocation cursors, the GOT slots and the merged CFG state.  If the
+allocation cursors, the GOT slots and the merged CFG state.  The
+table snapshot copies only the written extent of each table (below
+:class:`~repro.vm.memory.TableMemory`'s write high-water mark; every
+word above it is zero).  If the
 load fails at *any* phase — symbol resolution, CFG regeneration, or
 mid-way through the table update transaction (exercised by the fault
 plane of :mod:`repro.faults`) — the journal rolls everything back:
@@ -35,16 +43,16 @@ the half-loaded module's pages are sealed non-executable, and the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.cfg.generator import Cfg, generate_cfg
-from repro.core.instrument import instrument_items
+from repro.core.instrument import InstrumentedAsm, instrument_items
 from repro.core.tables import TableSnapshot, bary_index, tary_index
 from repro.core.transactions import UpdateTransaction
 from repro.errors import InjectedFault, LinkError, ReproError, \
     RuntimeError_
 from repro.faults.plane import NULL_PLANE, FaultPlane
-from repro.isa.assembler import assemble
+from repro.isa.assembler import Assembled, assemble
 from repro.linker.static_linker import build_data_image, layout_data
 from repro.mir.codegen import RawModule
 from repro.module.auxinfo import AuxInfo, FunctionAux, merge_aux
@@ -154,6 +162,11 @@ class DynamicLinker:
         self.verify = verify
         self.fault_plane = fault_plane
         self.registry: Dict[str, RawModule] = {}
+        #: library name -> (the registered module, its instrumented
+        #: assembly, its first assembled image): what later dlopens of
+        #: the same module re-place instead of re-assembling
+        self._prepared: Dict[str, Tuple[RawModule, InstrumentedAsm,
+                                        Assembled]] = {}
         self.loaded: Dict[int, LoadedLibrary] = {}
         self._by_name: Dict[str, int] = {}
         self._next_handle = 1
@@ -177,6 +190,7 @@ class DynamicLinker:
         if raw.arch != self.runtime.program.arch:
             raise LinkError(f"library {name!r} has the wrong architecture")
         self.registry[name] = raw
+        self._prepared.pop(name, None)
 
     # -- dlopen -----------------------------------------------------------------
 
@@ -192,7 +206,7 @@ class DynamicLinker:
             journal = LoadJournal(self)
             self.last_journal = journal
             try:
-                library = self._prepare_module(raw)
+                library = self._prepare_module(name, raw)
                 journal.record("prepare")
                 self.fault_plane.check("dlopen.prepare", detail=name)
                 library.taken_names = set(raw.taken_names)
@@ -391,11 +405,32 @@ class DynamicLinker:
 
     # -- internals ---------------------------------------------------------------
 
-    def _prepare_module(self, raw: RawModule) -> LoadedLibrary:
+    def _prepare_module(self, name: str, raw: RawModule) -> LoadedLibrary:
         with OBS.tracer.span("linker.prepare", library=raw.name):
-            return self._prepare_module_inner(raw)
+            return self._prepare_module_inner(name, raw)
 
-    def _prepare_module_inner(self, raw: RawModule) -> LoadedLibrary:
+    def _place(self, name: str, raw: RawModule, extern: Dict[str, int]
+               ) -> Tuple[InstrumentedAsm, Assembled]:
+        """Instrumented assembly + image of ``raw`` at the code cursor:
+        assembled on the library's first dlopen, re-placed after."""
+        prepared = self._prepared.get(name)
+        # ``registry`` is a plain dict callers may assign into without
+        # ``register()``: reuse only an image of this very module.
+        if prepared is not None and prepared[0] is raw:
+            _, asm, first = prepared
+            if OBS.enabled:
+                OBS.metrics.counter("linker.placements").inc()
+            return asm, first.placed(self._code_cursor, extern)
+        asm = instrument_items(raw)
+        assembled = assemble(asm.items, base=self._code_cursor,
+                             extern=extern)
+        self._prepared[name] = (raw, asm, assembled)
+        if OBS.enabled:
+            OBS.metrics.counter("linker.prepares").inc()
+        return asm, assembled
+
+    def _prepare_module_inner(self, name: str,
+                              raw: RawModule) -> LoadedLibrary:
         runtime = self.runtime
 
         # Resolve imports against the program and previously loaded libs.
@@ -408,11 +443,9 @@ class DynamicLinker:
                 f"{raw.name}: unresolved imports {', '.join(missing)}")
 
         layout = layout_data([raw], base=self._data_cursor)
-        asm = instrument_items(raw)
         extern = dict(known)
         extern.update(layout.symbols)
-        assembled = assemble(asm.items, base=self._code_cursor,
-                             extern=extern)
+        asm, assembled = self._place(name, raw, extern)
         module = build_module(raw, asm, assembled,
                               site_base=self._next_site)
         self._next_site += len(asm.sites)
@@ -425,7 +458,7 @@ class DynamicLinker:
             from repro.core.verifier import verify_module
             verify_module(module)
 
-        # Step 1: writable but not executable while loading + patching.
+        # Patch into pages writable but not executable, then seal.
         code = bytearray(module.code)
         for site, offset in module.bary_slots.items():
             code[offset:offset + 4] = (4 * site).to_bytes(4, "little")

@@ -61,7 +61,7 @@ SPAN_CATALOG = (
      "stub-source recheck of dirty bodies"),
     ("build.link", "modules", "unit-grain (re)link"),
     ("cfg.generate", "ibs ibts eqcs", "type-matching CFG generation"),
-    ("linker.prepare", "library", "map/patch a library pre-seal"),
+    ("linker.prepare", "library", "place, verify, patch, seal a library"),
     ("linker.cfg", "", "CFG regeneration over merged aux info"),
     ("linker.update", "completed", "table update-transaction steps"),
     ("linker.dlopen", "library status handle", "full dlopen protocol"),
@@ -111,6 +111,10 @@ METRIC_CATALOG = (
     ("counter", "linker.dlcloses", "successful dlcloses"),
     ("counter", "linker.rollbacks", "load-journal rollbacks"),
     ("counter", "linker.quarantines", "modules quarantined"),
+    ("counter", "linker.prepares",
+     "libraries instrumented and assembled (first dlopen)"),
+    ("counter", "linker.placements",
+     "dlopens that re-placed a prepared image"),
     ("counter", "pool.jobs", "jobs completed (final outcomes)"),
     ("counter", "pool.failures", "jobs failed after retries"),
     ("counter", "pool.timeouts", "jobs killed on deadline"),

@@ -315,6 +315,12 @@ class TableMemory:
         #: any update transaction therefore invalidates fused fast
         #: paths (see :mod:`repro.vm.dispatch`).
         self.generation = 0
+        #: Write high-water marks: one past the highest byte any
+        #: ``write_tary``/``write_bary`` stored.  Every byte at or above
+        #: a mark is still zero, so a snapshot need only copy below it
+        #: (:class:`repro.core.tables.TableSnapshot`).
+        self.tary_mark = 0
+        self.bary_mark = 0
 
     # Reads are what TxCheck performs; they are atomic at 4-byte
     # granularity because the scheduler interleaves whole instructions.
@@ -335,11 +341,20 @@ class TableMemory:
     def write_tary(self, index: int, ident: int) -> None:
         if index % 4:
             raise MemoryFault(index, "tary-write", "unaligned ID store")
+        if not 0 <= index <= self.tary_size - 4:
+            # a slice store out of range would grow the table instead
+            raise MemoryFault(index, "tary-write", "outside Tary table")
         self.tary[index:index + 4] = (ident & 0xFFFFFFFF).to_bytes(4, "little")
         self.generation += 1
+        if index >= self.tary_mark:
+            self.tary_mark = index + 4
 
     def write_bary(self, index: int, ident: int) -> None:
         if index % 4:
             raise MemoryFault(index, "bary-write", "unaligned ID store")
+        if not 0 <= index <= len(self.bary) - 4:
+            raise MemoryFault(index, "bary-write", "outside Bary table")
         self.bary[index:index + 4] = (ident & 0xFFFFFFFF).to_bytes(4, "little")
         self.generation += 1
+        if index >= self.bary_mark:
+            self.bary_mark = index + 4

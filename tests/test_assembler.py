@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import AssemblerError
+from repro.errors import AssemblerError, EncodingError
 from repro.isa.assembler import (
     Align,
     AlignEnd,
@@ -172,3 +172,143 @@ class TestDataAndMarks:
                  AsmInstr(Op.HLT, ())]
         out = assemble(items, base=0x10)
         assert out.instr_addresses == [0x10, 0x11, 0x14]
+
+
+def _externs(items):
+    """Names the items reference but do not define."""
+    defined = {item.name for item in items if isinstance(item, Label)}
+    refs = set()
+    for item in items:
+        if isinstance(item, AsmInstr):
+            refs |= {op.name for op in item.operands
+                     if isinstance(op, LabelRef)}
+        elif isinstance(item, DataWord) and isinstance(item.value, LabelRef):
+            refs.add(item.value.name)
+    return sorted(refs - defined)
+
+
+def _extern_map(names, seed):
+    """Seeded 8-aligned addresses in the low data region."""
+    import random
+    rng = random.Random(seed)
+    return {name: 8 * rng.randrange(0x20000, 0x1000000) for name in names}
+
+
+#: page-aligned placement bases (the first is where the image is built)
+PLACEMENT_BASES = (0x400000, 0x10000, 0x3a7000, 0x1f45000)
+
+
+def _plugin_source(size):
+    """A dlopen plugin shape: a ``size``-function call chain reached
+    through one indirect call."""
+    lines = ["long plg_h0(long x) { return x * 3 + 1; }"]
+    lines += [f"long plg_h{i}(long x) {{ return plg_h{i - 1}(x) + {i}; }}"
+              for i in range(1, size - 1)]
+    lines.append(f"long plug_fn(long x) {{ long (*f)(long) = "
+                 f"plg_h{size - 2}; return f(x) + {size}; }}")
+    return "\n".join(lines) + "\n"
+
+
+def _placement_cases():
+    from repro.workloads.spec import BENCHMARKS
+    cases = [(name, arch) for name in BENCHMARKS for arch in ("x64", "x32")]
+    return cases + [(f"plugin{size}", "x64") for size in (5, 17, 41)]
+
+
+@pytest.fixture(scope="module")
+def instrumented_items():
+    """Memo of instrumented item lists, one compile per case."""
+    from functools import lru_cache
+
+    from repro.build import compile_object
+    from repro.core.instrument import instrument_items
+    from repro.workloads.spec import workload
+
+    @lru_cache(maxsize=None)
+    def items_of(name, arch):
+        if name.startswith("plugin"):
+            source = _plugin_source(int(name[len("plugin"):]))
+        else:
+            source = workload(name).source
+        return instrument_items(compile_object(source, name=name,
+                                               arch=arch)).items
+    return items_of
+
+
+class TestPlacement:
+    """``Assembled.placed`` re-bases an image by patching only its
+    placement-dependent fields, equal to a fresh assembly."""
+
+    @pytest.mark.parametrize("name,arch", _placement_cases())
+    def test_placed_equals_fresh_assembly(self, instrumented_items, name,
+                                          arch):
+        items = instrumented_items(name, arch)
+        names = _externs(items)
+        first = assemble(items, PLACEMENT_BASES[0], _extern_map(names, 0))
+        assert first.relocs
+        for seed, base in enumerate(PLACEMENT_BASES[1:], start=1):
+            extern = _extern_map(names, seed)
+            fresh = assemble(items, base, extern)
+            assert first.placed(base, extern) == fresh
+            assert fresh.code != first.code
+        # placing a placed image is placing the original
+        again = first.placed(PLACEMENT_BASES[1], _extern_map(names, 1))
+        extern = _extern_map(names, 3)
+        assert again.placed(PLACEMENT_BASES[3], extern) == \
+            assemble(items, PLACEMENT_BASES[3], extern)
+
+    RELOCATING = [
+        Align(4), Label("f"),
+        AsmInstr(Op.CALL, (LabelRef("g"),)),        # rel32, extern
+        AsmInstr(Op.JMP, (LabelRef("f"),)),         # rel32, local
+        AsmInstr(Op.MOV_RI, (Reg.RAX, LabelRef("f"))),   # abs64, local
+        AsmInstr(Op.MOV_RI, (Reg.RAX, LabelRef("d"))),   # abs64, extern
+        AsmInstr(Op.LEA, (Reg.RAX, Reg.RBX, LabelRef("d"))),  # abs32
+        Label("table"), DataWord(LabelRef("f")), DataWord(7),
+    ]
+
+    def test_every_relocation_kind_recorded(self):
+        out = assemble(self.RELOCATING, 0x1000, {"g": 0x9000, "d": 0x5000})
+        assert [(r.kind, r.name) for r in out.relocs] == [
+            ("rel32", "g"), ("abs64", "f"), ("abs64", "d"),
+            ("abs32", "d"), ("word", "f")]
+        assert out.relocs[0].offset == 1
+        assert out.relocs[0].end == 5
+        placed = out.placed(0x3000, {"g": 0x100, "d": 0x200})
+        assert placed == assemble(self.RELOCATING, 0x3000,
+                                  {"g": 0x100, "d": 0x200})
+
+    @pytest.mark.parametrize("delta", [4, 0x800, -0x10, 0x1004])
+    def test_unaligned_delta_rejected(self, delta):
+        out = assemble(self.RELOCATING, 0x10000, {"g": 0x9000, "d": 0x5000})
+        with pytest.raises(AssemblerError, match="placement delta"):
+            out.placed(0x10000 + delta, {"g": 0x9000, "d": 0x5000})
+
+    def test_delta_must_respect_wider_alignment(self):
+        items = [AsmInstr(Op.NOP, ()), Align(0x2000), Label("x"),
+                 AsmInstr(Op.JMP, (LabelRef("x"),))]
+        out = assemble(items, 0)
+        assert out.align == 0x2000
+        with pytest.raises(AssemblerError, match="0x2000"):
+            out.placed(0x1000)
+        assert out.placed(0x4000) == assemble(items, 0x4000)
+
+    def test_placement_errors_match_fresh_assembly(self):
+        out = assemble(self.RELOCATING, 0x1000, {"g": 0x9000, "d": 0x5000})
+        with pytest.raises(AssemblerError, match="undefined label 'd'"):
+            out.placed(0x2000, {"g": 0x9000})
+        far = {"g": 0x9000, "d": 1 << 33}  # does not fit the imm32 field
+        with pytest.raises(EncodingError) as fresh:
+            assemble(self.RELOCATING, 0x2000, far)
+        with pytest.raises(EncodingError) as placed:
+            out.placed(0x2000, far)
+        assert str(placed.value) == str(fresh.value)
+
+
+class TestAssemblerPasses:
+    def test_align_end_lengths_taken_in_one_sweep(self):
+        from repro.isa.assembler import item_lengths
+        items = [AlignEnd(4), Label("a"), Mark("m"),
+                 AsmInstr(Op.CALL, (LabelRef("a"),)),
+                 AlignEnd(4), Data(b"x"), AsmInstr(Op.NOP, ())]
+        assert item_lengths(items) == [5, 0, 0, 5, None, 0, 1]

@@ -177,3 +177,55 @@ class TestConcurrentDlopen:
         assert result.ok, result.violation or result.fault
         assert result.output == b"31"
         assert runtime.id_tables.version == 1
+
+
+class TestPreparedImageReuse:
+    """A library is instrumented and assembled on its first dlopen;
+    later dlopens re-place that image and still verify it."""
+
+    def _reopen(self, linker):
+        handle = linker.dlopen("plugin")
+        assert linker.dlclose(handle) == 0
+        cursors = (linker._code_cursor, linker._data_cursor,
+                   linker._next_site)
+        handle = linker.dlopen("plugin")
+        assert handle
+        return linker.loaded[handle].module, cursors
+
+    def test_reopen_matches_fresh_linker_at_same_cursor(self):
+        from repro.obs import scoped
+        runtime, linker = make_runtime(verify=True)
+        with scoped() as obs:
+            reopened, cursors = self._reopen(linker)
+            counters = obs.metrics.snapshot().counters
+        assert counters["linker.prepares"] == 1
+        assert counters["linker.placements"] == 1
+        _, fresh = make_runtime(verify=True)
+        fresh._code_cursor, fresh._data_cursor, fresh._next_site = cursors
+        module = fresh.loaded[fresh.dlopen("plugin")].module
+        assert reopened.base == cursors[0]
+        assert module == reopened
+
+    def test_every_placed_image_is_verified(self, monkeypatch):
+        import repro.core.verifier as verifier
+        verified = []
+        real = verifier.verify_module
+        monkeypatch.setattr(verifier, "verify_module",
+                            lambda module: verified.append(module.base)
+                            or real(module))
+        runtime, linker = make_runtime(verify=True)
+        module, _ = self._reopen(linker)
+        assert len(verified) == 2
+        assert verified[-1] == module.base
+
+    def test_register_replacing_library_drops_memo(self):
+        runtime, linker = make_runtime(verify=True)
+        linker.dlclose(linker.dlopen("plugin"))
+        assert "plugin" in linker._prepared
+        linker.register("plugin", compile_module(
+            "int libfn(int x) { return x + 1000; }\n"
+            "int extra(int x) { return x; }", name="plugin"))
+        assert "plugin" not in linker._prepared
+        module = linker.loaded[linker.dlopen("plugin")].module
+        assert "extra" in module.aux.functions
+        assert linker._prepared["plugin"][0] is linker.registry["plugin"]

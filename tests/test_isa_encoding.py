@@ -117,3 +117,85 @@ class TestVariableLength:
         assert instr.branch_target(100) == 100 + instr.length + 10
         with pytest.raises(EncodingError):
             Instruction(Op.RET, ()).branch_target(0)
+
+
+def _reference_decode(code, offset=0):
+    """Field-by-field decode straight from the opcode specs: the oracle
+    the table-driven :func:`decode` must agree with."""
+    if offset >= len(code):
+        raise EncodingError("decode past end of code")
+    if code[offset] not in {int(op) for op in Op}:
+        raise EncodingError(f"invalid opcode byte {code[offset]:#04x}")
+    op = Op(code[offset])
+    pos = offset + 1
+    operands = []
+    for kind in SPECS[op].operands:
+        width = {OperandKind.REG: 1, OperandKind.IMM8: 1,
+                 OperandKind.IMM64: 8}.get(kind, 4)
+        if pos + width > len(code):
+            raise EncodingError("truncated instruction")
+        value = int.from_bytes(code[pos:pos + width], "little",
+                               signed=width > 1)
+        if kind is OperandKind.REG and value >= NUM_REGS:
+            raise EncodingError(f"bad register byte {value:#04x}")
+        operands.append(value)
+        pos += width
+    return Instruction(op, tuple(operands)), pos - offset
+
+
+def _outcome(code, offset=0):
+    try:
+        instr, length = decode(code, offset)
+    except EncodingError as exc:
+        return ("error", str(exc))
+    return (instr, length, repr(instr), hash(instr), type(instr.op))
+
+
+def _reference_outcome(code, offset=0):
+    try:
+        instr, length = _reference_decode(code, offset)
+    except EncodingError as exc:
+        return ("error", str(exc))
+    return (instr, length, repr(instr), hash(instr), type(instr.op))
+
+
+class TestTableDrivenDecode:
+    @pytest.mark.parametrize("arch", ["x64", "x32"])
+    def test_fixed12_images_decode_as_reference(self, arch):
+        from repro.experiments import compiled
+        from repro.workloads.spec import BENCHMARKS
+        for name in BENCHMARKS:
+            module = compiled(name, arch, True).module
+            code = module.code
+            decoded = 0
+            for start, end in module.code_ranges:
+                offset = start - module.base
+                while offset < end - module.base:
+                    outcome = _outcome(code, offset)
+                    assert outcome == _reference_outcome(code, offset), \
+                        f"{name}/{arch} at {offset:#x}"
+                    offset += outcome[1]
+                    decoded += 1
+            assert decoded
+
+    def test_every_opcode_byte_fails_as_reference(self):
+        # every truncation, with register bytes valid, bad, and maximal
+        for opcode in range(256):
+            for fill in (0, NUM_REGS, 0xFF):
+                whole = bytes([opcode]) + bytes([fill]) * \
+                    (MAX_INSTRUCTION_LENGTH - 1)
+                for cut in range(1, MAX_INSTRUCTION_LENGTH + 1):
+                    for code, offset in ((whole[:cut], 0),
+                                         (b"\x01" + whole[:cut], 1)):
+                        assert _outcome(code, offset) == \
+                            _reference_outcome(code, offset), \
+                            (opcode, fill, cut)
+
+    def test_mid_image_and_window_offsets(self):
+        code = encode_all([Instruction(Op.NOP),
+                           Instruction(Op.LEA, (1, 2, -5)),
+                           Instruction(Op.MOV_RI, (3, -(1 << 63)))])
+        for offset in range(len(code) + 1):
+            assert _outcome(code, offset) == _reference_outcome(code, offset)
+            assert _outcome(memoryview(code), offset) == \
+                _reference_outcome(code, offset)

@@ -89,6 +89,27 @@ class TestRollbackByteIdentical:
         assert handle != 0
         assert linker.dlsym(handle, "libfn") != 0
 
+    @pytest.mark.parametrize("phase", ["update", "seal"])
+    def test_rolled_back_reopen_above_the_snapshot_mark(self, artifacts,
+                                                         phase):
+        """A reopened library is placed above everything loaded so far,
+        so its load writes above the tables' write marks; rolling it
+        back must still leave both tables byte-identical."""
+        plane = FaultPlane(seed=0)
+        runtime, linker = _runtime_with_plugin(artifacts, plane)
+        assert linker.dlclose(linker.dlopen("plugin")) == 0
+        memory = runtime.tables
+        marks = (memory.tary_mark, memory.bary_mark)
+        before = snapshot_tables(runtime)
+        plane.arm(f"dlopen.{phase}", skip=1 if phase == "update" else 0)
+        assert linker.dlopen("plugin") == 0
+        assert linker.last_journal.rolled_back
+        assert memory.tary_mark > marks[0]
+        if phase == "seal":                       # after the Bary writes
+            assert memory.bary_mark > marks[1]
+        assert snapshot_tables(runtime) == before
+        assert linker.dlopen("plugin") != 0      # plane count exhausted
+
     def test_journal_restores_update_lock(self, artifacts):
         plane = FaultPlane(seed=0).arm("dlopen.update")
         runtime, linker = _runtime_with_plugin(artifacts, plane)

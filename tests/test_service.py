@@ -134,6 +134,47 @@ class TestTableSnapshot:
         assert tables.version == 0
         assert tables.tary_ecns == {}
 
+    def test_snapshot_holds_only_the_written_extent(self):
+        memory = TableMemory()
+        tables = IdTables(memory)
+        assert TableSnapshot(tables).tary == b""
+        memory.write_tary(0x100, 7)
+        memory.write_bary(8, 9)
+        memory.write_tary(0x40, 0)      # below the mark: no change
+        snapshot = TableSnapshot(tables)
+        assert (memory.tary_mark, memory.bary_mark) == (0x104, 12)
+        assert snapshot.tary == bytes(memory.tary[:0x104])
+        assert snapshot.bary == bytes(memory.bary[:12])
+
+    def test_rollback_zeroes_writes_above_the_old_mark(self):
+        memory = TableMemory()
+        tables = IdTables(memory)
+        memory.write_tary(8, 1)
+        memory.write_bary(4, 2)
+        before = (bytes(memory.tary), bytes(memory.bary))
+        snapshot = TableSnapshot(tables)
+        memory.write_tary(8, 3)
+        memory.write_tary(0x2000, 4)
+        memory.write_bary(0x400, 5)
+        snapshot.rollback()
+        assert (bytes(memory.tary), bytes(memory.bary)) == before
+
+    def test_band_wholly_above_the_mark(self):
+        memory = TableMemory()
+        tables = IdTables(memory)
+        memory.write_tary(4, 0x11)                   # below the band
+        snapshot = TableSnapshot(tables, tary_range=(0x1000, 0x2000),
+                                 site_range=(100, 200))
+        assert snapshot.tary == b"" and snapshot.bary == b""
+        memory.write_tary(0x1008, 0x22)              # inside the band
+        memory.write_tary(0x3000, 0x33)              # above the band
+        memory.write_bary(4 * 150, 0x44)
+        snapshot.rollback()
+        assert bytes(memory.tary[0x1000:0x2000]) == bytes(0x1000)
+        assert bytes(memory.bary[400:800]) == bytes(400)
+        assert memory.read_tary(4) == 0x11
+        assert memory.read_tary(0x3000) == 0x33
+
 
 class TestUpdateLockOwnerApi:
     def test_owner_roundtrip(self):

@@ -115,6 +115,18 @@ class TestTableMemory:
         with pytest.raises(MemoryFault):
             tables.read_tary(-4)
 
+    @pytest.mark.parametrize("index", [-4, 0x1000, 0x2000])
+    def test_out_of_range_writes_fault_without_resizing(self, index):
+        tables = TableMemory(tary_size=0x1000, bary_entries=0x400)
+        with pytest.raises(MemoryFault) as err:
+            tables.write_tary(index, 1)
+        assert err.value.args == MemoryFault(
+            index, "tary-write", "outside Tary table").args
+        with pytest.raises(MemoryFault):
+            tables.write_bary(index, 1)
+        assert len(tables.tary) == len(tables.bary) == 0x1000
+        assert (tables.tary_mark, tables.bary_mark) == (0, 0)
+
     def test_read_bounds_at_table_end(self):
         """The last whole word reads; one byte further faults with the
         index, the access kind and the reason."""
